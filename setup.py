@@ -32,7 +32,7 @@ setup(
     include_package_data=True,
     # importlib.resources.files() (repro.corpus) needs 3.9+.
     python_requires=">=3.9",
-    install_requires=["networkx"],
+    install_requires=[],
     entry_points={
         "console_scripts": [
             "rehearsal = repro.core.cli:main",

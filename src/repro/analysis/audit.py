@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.analysis.commutativity import footprint
 from repro.analysis.invariants import check_invariant
+from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem
 from repro.fs import syntax as fx
 from repro.fs.paths import Path
@@ -96,7 +95,7 @@ def _under_any(path: Path, roots: Sequence[Path]) -> bool:
 
 
 def prove_never_deleted(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     path: Path,
 ) -> Tuple[bool, Optional[FileSystem]]:
@@ -105,7 +104,7 @@ def prove_never_deleted(
 
     Sound only on deterministic graphs (one linearization stands for
     all, §5)."""
-    order = list(nx.topological_sort(graph))
+    order = topological_sort(graph)
     e = fx.seq(*[programs[n] for n in order])
 
     def prop(bank: TermBank, final: SymbolicState) -> Term:

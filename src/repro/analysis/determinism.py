@@ -38,8 +38,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.analysis.commutativity import (
     Footprint,
     commutativity_matrix,
@@ -48,6 +46,7 @@ from repro.analysis.commutativity import (
 from repro.analysis.elimination import EliminationReport, eliminate_resources
 from repro.analysis.localize import RaceReport, localize_race
 from repro.analysis.pruning import PruneReport, prune_manifest
+from repro.digraph import DiGraph, descendants, topological_sort
 from repro.errors import AnalysisBudgetExceeded
 from repro.fs import FileSystem, eval_expr, seq
 from repro.fs import syntax as fx
@@ -231,13 +230,13 @@ class _Explorer:
     Per-branch costs are hoisted into ``__init__``: the full pairwise
     commutativity matrix and every node's descendant and predecessor
     sets are computed once (previously ``footprints_commute`` and
-    ``nx.descendants`` ran on every ``_explore`` call, O(V·E) per
+    ``descendants`` ran on every ``_explore`` call, O(V·E) per
     branch).
     """
 
     def __init__(
         self,
-        graph: "nx.DiGraph",
+        graph: DiGraph,
         programs: Dict[NodeId, fx.Expr],
         bank: TermBank,
         options: DeterminismOptions,
@@ -264,7 +263,7 @@ class _Explorer:
             }
             self.commutes = commutativity_matrix(self.prints)
             self.descendants: Dict[NodeId, frozenset] = {
-                n: frozenset(nx.descendants(graph, n)) for n in nodes
+                n: frozenset(descendants(graph, n)) for n in nodes
             }
             self.predecessors: Dict[NodeId, frozenset] = {
                 n: frozenset(graph.predecessors(n)) for n in nodes
@@ -610,7 +609,7 @@ class _IncrementalExplorer(_Explorer):
 
 
 def check_determinism(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     options: Optional[DeterminismOptions] = None,
     incremental_store=None,
@@ -1048,14 +1047,14 @@ def _conquer_cubes(
     explorer.finals = merged
 
 
-def _unordered_pairs_commute(graph: "nx.DiGraph", matrix) -> bool:
+def _unordered_pairs_commute(graph: DiGraph, matrix) -> bool:
     """True when every pair of resources with no ordering constraint
     between them commutes.  Any two topological linearizations are
     related by adjacent transpositions of unordered pairs, so this
     implies a unique outcome for every initial state (ordered pairs
     never swap and need no check)."""
     nodes = list(graph.nodes)
-    reach = {n: nx.descendants(graph, n) for n in nodes}
+    reach = {n: descendants(graph, n) for n in nodes}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1 :]:
             if b in reach[a] or a in reach[b]:
@@ -1069,7 +1068,7 @@ def _diverging_orders(
     witness: FileSystem,
     finals: Sequence[Tuple[SymbolicState, List[NodeId]]],
     original_programs: Dict[NodeId, fx.Expr],
-    graph: "nx.DiGraph",
+    graph: DiGraph,
 ):
     """Concretely re-run the explored orders (with the *original*,
     unpruned programs) on the witness to exhibit two diverging ones.
@@ -1082,7 +1081,7 @@ def _diverging_orders(
     explored_nodes = set(finals[0][1])
     tail = [
         n
-        for n in nx.topological_sort(graph)
+        for n in topological_sort(graph)
         if n not in explored_nodes
     ]
     outcomes = []

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Set, Tuple
 
-import networkx as nx
-
 from repro.analysis.commutativity import Footprint, footprint, footprints_commute
+from repro.digraph import DiGraph, ancestors
 from repro.fs import syntax as fx
 
 NodeId = Hashable
@@ -33,9 +32,9 @@ class EliminationReport:
 
 
 def eliminate_resources(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
-) -> Tuple["nx.DiGraph", EliminationReport]:
+) -> Tuple[DiGraph, EliminationReport]:
     """Drop verdict-irrelevant resources.
 
     ``graph`` edges point prerequisite → dependent.  Returns a new
@@ -53,9 +52,9 @@ def eliminate_resources(
         changed = False
         # Fringe: nothing depends on these.
         for node in [n for n in work.nodes if work.out_degree(n) == 0]:
-            ancestors = nx.ancestors(work, node)
+            upstream = ancestors(work, node)
             others = [
-                m for m in work.nodes if m != node and m not in ancestors
+                m for m in work.nodes if m != node and m not in upstream
             ]
             if all(
                 footprints_commute(prints[node], prints[m]) for m in others

@@ -14,9 +14,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Sequence
 
-import networkx as nx
-
 from repro.analysis.equivalence import EquivalenceResult, check_equivalence
+from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem
 from repro.fs import syntax as fx
 
@@ -49,12 +48,12 @@ def check_idempotence_expr(
 
 
 def check_idempotence(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     well_formed_initial: bool = True,
 ) -> IdempotenceResult:
     """Idempotence of a *deterministic* resource graph: sequence any
     topological order and check ``e ≡ e; e``."""
-    order = list(nx.topological_sort(graph))
+    order = topological_sort(graph)
     e = fx.seq(*[programs[n] for n in order])
     return check_idempotence_expr(e, well_formed_initial)

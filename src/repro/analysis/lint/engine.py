@@ -26,8 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.analysis.commutativity import Footprint, footprint
 from repro.analysis.lint.diagnostics import (
     Diagnostic,
@@ -35,6 +33,7 @@ from repro.analysis.lint.diagnostics import (
     Related,
     Severity,
 )
+from repro.digraph import DiGraph
 from repro.errors import (
     DependencyCycleError,
     PuppetEvalError,
@@ -122,7 +121,7 @@ class LintContext:
     options: LintOptions
     report: LintReport
     catalog: Optional[Catalog] = None
-    graph: Optional["nx.DiGraph"] = None
+    graph: Optional[DiGraph] = None
     #: node -> compiled FS program (only successfully compiled ones).
     programs: Dict[object, fx.Expr] = field(default_factory=dict)
     #: node -> compile-error message for resources without a program.
@@ -289,7 +288,7 @@ def lint_source(
 
 
 def lint_graph(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[object, fx.Expr],
     name: str = "<graph>",
     options: Optional[LintOptions] = None,

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.analysis.commutativity import Footprint, commutativity_matrix
 from repro.analysis.lint.diagnostics import (
     Diagnostic,
@@ -40,6 +38,7 @@ from repro.analysis.lint.engine import (
     graph_checker,
     register_rule,
 )
+from repro.digraph import ancestors, descendants, lexicographical_topological_sort
 from repro.fs import ERROR, eval_expr, is_error
 from repro.testing.oracle import initial_state_family
 
@@ -173,7 +172,7 @@ def _candidates(graph, matrix) -> List[Tuple[object, object]]:
     ordered."""
     nodes = sorted(graph.nodes, key=str)
     reach: Dict[object, Set[object]] = {
-        n: nx.descendants(graph, n) for n in nodes
+        n: descendants(graph, n) for n in nodes
     }
     out = []
     for i, a in enumerate(nodes):
@@ -206,20 +205,16 @@ def _pair_orders(
     order.  ``late`` places the pair after every non-descendant;
     otherwise right after the pair's ancestors."""
     if late:
-        after = (nx.descendants(graph, a) | nx.descendants(graph, b)) - {
+        after = (descendants(graph, a) | descendants(graph, b)) - {
             a,
             b,
         }
         before = set(graph.nodes) - after - {a, b}
     else:
-        before = (nx.ancestors(graph, a) | nx.ancestors(graph, b)) - {a, b}
+        before = (ancestors(graph, a) | ancestors(graph, b)) - {a, b}
         after = set(graph.nodes) - before - {a, b}
-    prefix = list(nx.lexicographical_topological_sort(
-        graph.subgraph(before), key=str
-    ))
-    suffix = list(nx.lexicographical_topological_sort(
-        graph.subgraph(after), key=str
-    ))
+    prefix = lexicographical_topological_sort(graph.subgraph(before), key=str)
+    suffix = lexicographical_topological_sort(graph.subgraph(after), key=str)
     return prefix + [a, b] + suffix, prefix + [b, a] + suffix
 
 

@@ -33,9 +33,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.analysis.commutativity import Footprint, footprint
+from repro.digraph import DiGraph, has_path
 from repro.errors import SolverError
 from repro.fs import FileSystem, syntax as fx
 from repro.fs.paths import Path
@@ -91,7 +90,7 @@ def localize_race(
     other: SymbolicState,
     base_order: Sequence[NodeId],
     other_order: Sequence[NodeId],
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     query: IncrementalQuery,
     pair_selector: int,
@@ -117,7 +116,7 @@ def localize_race(
     ``descendants`` — optional node → descendant-set mapping of
     ``graph`` (the explorer precomputes it); when provided, the
     pair-ranking pass answers "are a and b ordered?" with two set
-    lookups instead of an ``nx.has_path`` traversal per candidate
+    lookups instead of an ``has_path`` traversal per candidate
     pair.
 
     ``witness`` — the decoded non-determinism witness filesystem.
@@ -263,7 +262,7 @@ def _pick_pair(
     core_paths: Sequence[Path],
     base_order: Sequence[NodeId],
     other_order: Sequence[NodeId],
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     descendants: Optional[Mapping[NodeId, frozenset]] = None,
     witness: Optional[FileSystem] = None,
@@ -283,7 +282,7 @@ def _pick_pair(
     def ordered(a: NodeId, b: NodeId) -> bool:
         if descendants is not None:
             return b in descendants[a] or a in descendants[b]
-        return nx.has_path(graph, a, b) or nx.has_path(graph, b, a)
+        return has_path(graph, a, b) or has_path(graph, b, a)
 
     swapped: List[Tuple[NodeId, NodeId]] = []
     nodes = [n for n in base_order if n in other_position]
@@ -367,7 +366,7 @@ def _pick_pair(
 
 
 def _concretely_racing(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     witness: FileSystem,
     pairs: set,

@@ -26,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.analysis.commutativity import Footprint, footprint, footprints_commute
 from repro.analysis.determinism import (
     DeterminismOptions,
     DeterminismResult,
     check_determinism,
 )
+from repro.digraph import DiGraph, has_path, topological_sort
 from repro.errors import AnalysisBudgetExceeded
 from repro.fs import syntax as fx
 
@@ -53,7 +52,7 @@ class RepairResult:
 
 
 def synthesize_repair(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     options: Optional[DeterminismOptions] = None,
     max_edges: int = 8,
@@ -90,7 +89,7 @@ def synthesize_repair(
 
 
 def _minimize_edges(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     options: DeterminismOptions,
     edges: List[Edge],
@@ -129,7 +128,7 @@ class _SearchState:
         self.seen: set[frozenset] = set()
 
     def search(
-        self, graph: "nx.DiGraph", budget: int
+        self, graph: DiGraph, budget: int
     ) -> Optional[List[Edge]]:
         if self.checks >= self.max_checks:
             return None
@@ -146,7 +145,7 @@ class _SearchState:
             return None
         for a, b in self._candidates(graph, result):
             for src, dst in self._directions(a, b):
-                if nx.has_path(graph, dst, src):
+                if has_path(graph, dst, src):
                     continue  # would create a cycle
                 key = frozenset(graph.edges) | {(src, dst)}
                 marker = frozenset(key)
@@ -161,7 +160,7 @@ class _SearchState:
         return None
 
     def _candidates(
-        self, graph: "nx.DiGraph", result: DeterminismResult
+        self, graph: DiGraph, result: DeterminismResult
     ) -> List[Tuple[NodeId, NodeId]]:
         """Unordered conflicting pairs, witness-guided first."""
         pairs: List[Tuple[NodeId, NodeId]] = []
@@ -186,24 +185,24 @@ class _SearchState:
         return pairs
 
     def _normalize(
-        self, graph: "nx.DiGraph", a: NodeId, b: NodeId
+        self, graph: DiGraph, a: NodeId, b: NodeId
     ) -> Optional[Tuple[NodeId, NodeId]]:
         """Return the pair if unordered and conflicting, else None."""
         if a == b:
             return None
-        if nx.has_path(graph, a, b) or nx.has_path(graph, b, a):
+        if has_path(graph, a, b) or has_path(graph, b, a):
             return None
         if footprints_commute(self.prints[a], self.prints[b]):
             return None
         return (a, b) if str(a) <= str(b) else (b, a)
 
-    def _succeeds_from_empty(self, graph: "nx.DiGraph") -> bool:
+    def _succeeds_from_empty(self, graph: DiGraph) -> bool:
         """The provisioning sanity check: one (hence, by determinism,
         every) linearization succeeds on the empty machine."""
         from repro.fs import FileSystem
         from repro.fs.semantics import ERROR, eval_expr
 
-        order = list(nx.topological_sort(graph))
+        order = topological_sort(graph)
         program = fx.seq(*[self.programs[n] for n in order])
         return eval_expr(program, FileSystem.empty()) is not ERROR
 

@@ -38,6 +38,7 @@ from repro.analysis.determinism import DeterminismOptions, check_determinism
 from repro.analysis.idempotence import check_idempotence
 from repro.analysis.pruning import prune_manifest
 from repro.core.pipeline import Rehearsal
+from repro.digraph import DiGraph
 from repro.corpus import BENCHMARK_NAMES, idempotence_subject, load_source
 from repro.errors import AnalysisBudgetExceeded
 from repro.fs import Path, creat, file_, ite, none_, rm, seq
@@ -190,13 +191,11 @@ def synthetic_conflict_graph(n: int):
     """n unordered resources all writing different content to /shared
     (the paper's Fig. 13 workload, built directly in FS because Puppet
     rejects duplicate file paths)."""
-    import networkx as nx
-
     programs = {
         f"w{i}": conflicting_write("/shared", f"content-{i}")
         for i in range(n)
     }
-    graph = nx.DiGraph()
+    graph = DiGraph()
     graph.add_nodes_from(programs)
     return graph, programs
 
@@ -289,8 +288,6 @@ def fig13_deterministic_rows(
     """The paper's harder variant: a final file resource ordered after
     all n conflicting writers makes the manifest deterministic, forcing
     a full unsatisfiability proof instead of an early model."""
-    import networkx as nx
-
     rows = []
     for n in ns:
         graph, programs = synthetic_conflict_graph(n)

@@ -12,8 +12,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.analysis.determinism import (
     DeterminismOptions,
     DeterminismResult,
@@ -25,6 +23,7 @@ from repro.analysis.invariants import (
     InvariantResult,
     check_invariant,
 )
+from repro.digraph import DiGraph, topological_sort
 from repro.errors import ReproError
 from repro.fs import Expr, seq
 from repro.puppet.evaluator import Evaluator
@@ -98,7 +97,7 @@ class Rehearsal:
 
     # -- pipeline stages ---------------------------------------------------
 
-    def compile(self, source: str) -> Tuple["nx.DiGraph", Dict[str, Expr]]:
+    def compile(self, source: str) -> Tuple[DiGraph, Dict[str, Expr]]:
         """Manifest source → (resource graph, FS programs)."""
         manifest = parse_manifest(source)
         evaluator = Evaluator(facts=self.facts, node_name=self.node_name)
@@ -165,7 +164,7 @@ class Rehearsal:
         self, source: str, prop: FinalStateProperty, extra_paths=()
     ) -> InvariantResult:
         graph, programs = self.compile(source)
-        order = list(nx.topological_sort(graph))
+        order = topological_sort(graph)
         e = seq(*[programs[n] for n in order])
         return check_invariant(
             e,
@@ -180,7 +179,7 @@ class Rehearsal:
         self,
         source: str,
         name: str = "<manifest>",
-        compiled: Optional[Tuple["nx.DiGraph", Dict[str, Expr]]] = None,
+        compiled: Optional[Tuple[DiGraph, Dict[str, Expr]]] = None,
     ) -> VerificationReport:
         """Determinism first, then idempotence (gated, per §5).
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
+from repro.digraph import DiGraph, find_cycle
 from repro.errors import DependencyCycleError, PuppetEvalError
 from repro.fs.paths import Path
 from repro.resources.base import METAPARAMETERS, Resource, ResourceRef
@@ -146,11 +145,11 @@ class Catalog:
 
     # -- final graph ----------------------------------------------------------------
 
-    def build_graph(self) -> "nx.DiGraph":
+    def build_graph(self) -> DiGraph:
         """Produce the primitive resource graph (paper Fig. 4): nodes
         are primitive resource refs (as strings), edges point
         prerequisite → dependent.  Raises on cycles."""
-        graph = nx.DiGraph()
+        graph = DiGraph()
         primitives = self.primitive_resources()
         for entry in primitives:
             graph.add_node(str(entry.ref), entry=entry)
@@ -192,11 +191,10 @@ class Catalog:
             if not parent.is_root and parent in by_path:
                 connect(by_path[parent], entry)
 
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            return graph
-        raise DependencyCycleError([edge[0] for edge in cycle])
+        cycle = find_cycle(graph)
+        if cycle:
+            raise DependencyCycleError([edge[0] for edge in cycle])
+        return graph
 
 
 def _container_id(entry: CatalogResource) -> str:

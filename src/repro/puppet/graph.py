@@ -1,7 +1,7 @@
 """From catalogs to compiled resource graphs (paper Fig. 4 and §3.4).
 
-``compile_catalog`` produces the pair the analyses consume: a networkx
-DiGraph whose nodes are primitive-resource ref strings (edges point
+``compile_catalog`` produces the pair the analyses consume: a
+:class:`repro.digraph.DiGraph` whose nodes are primitive-resource ref strings (edges point
 prerequisite → dependent) and a dict mapping each node to its compiled
 FS program.
 """
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import networkx as nx
-
+from repro.digraph import DiGraph
 from repro.fs import Expr
 from repro.puppet.catalog import Catalog
 from repro.resources.compiler import ModelContext, ResourceCompiler
@@ -20,7 +19,7 @@ from repro.resources.compiler import ModelContext, ResourceCompiler
 def compile_catalog(
     catalog: Catalog,
     context: Optional[ModelContext] = None,
-) -> Tuple["nx.DiGraph", Dict[str, Expr]]:
+) -> Tuple[DiGraph, Dict[str, Expr]]:
     """Build the resource graph and compile every node with C (§3.3)."""
     graph = catalog.build_graph()
     compiler = ResourceCompiler(context)

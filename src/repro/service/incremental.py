@@ -47,13 +47,12 @@ import time
 from pathlib import Path as OsPath
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro import __version__
 from repro.analysis.commutativity import Footprint, footprint, footprints_commute
 from repro.analysis.equivalence import check_equivalence
 from repro.analysis.idempotence import IdempotenceResult, check_idempotence
 from repro.analysis.localize import RaceReport
+from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem, eval_expr, seq
 from repro.fs import syntax as fx
 from repro.fs.paths import Path
@@ -538,7 +537,7 @@ def _fs_from_dict(
 
 
 def check_idempotence_incremental(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     options,
     stats=None,
@@ -571,7 +570,7 @@ def check_idempotence_incremental(
     wf = bool(options.well_formed_initial)
     if store is None or store.disabled:
         store = open_store(getattr(options, "incremental_dir", None))
-    order: List[NodeId] = list(nx.topological_sort(graph))
+    order: List[NodeId] = topological_sort(graph)
     if store is None:
         return check_idempotence(graph, programs, well_formed_initial=wf)
 
@@ -699,9 +698,9 @@ class DetIncremental:
     def __init__(
         self,
         store: IncrementalStore,
-        graph: "nx.DiGraph",
+        graph: DiGraph,
         programs: Dict[NodeId, fx.Expr],
-        work_graph: "nx.DiGraph",
+        work_graph: DiGraph,
         work_programs: Dict[NodeId, fx.Expr],
         domains,
         options,

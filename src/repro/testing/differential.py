@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import __version__
 from repro.analysis.determinism import DeterminismOptions
 from repro.core.pipeline import Rehearsal
+from repro.digraph import topological_sort
 from repro.fs.semantics import ERROR, eval_expr
 from repro.resources.compiler import ModelContext
 from repro.testing.generate import (
@@ -323,9 +324,7 @@ def _check_idempotence(outcome, report, graph, programs, oracle) -> None:
         idem = report.idempotence
         witness = idem.witness_fs if idem is not None else None
         if witness is not None:
-            import networkx as nx
-
-            order = list(nx.topological_sort(graph))
+            order = topological_sort(graph)
             once = _replay(programs, order, witness)
             twice = (
                 ERROR if once is ERROR else _replay(programs, order, once)

@@ -33,8 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
+from repro.digraph import DiGraph, topological_sort
 from repro.fs import syntax as fx
 from repro.fs.filesystem import DIR, FileContent, FileSystem
 from repro.fs.paths import Path
@@ -103,7 +102,7 @@ class OracleBudgetExceeded(Exception):
 
 
 def run_oracle(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     extra_states: Sequence[FileSystem] = (),
     max_states: int = 24,
@@ -198,7 +197,7 @@ def run_oracle(
 
 
 def racing_pairs(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     initial: FileSystem,
     budget: Optional["_Budget"] = None,
@@ -279,7 +278,7 @@ class _Budget:
 
 
 def _explore(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     initial: FileSystem,
     budget: _Budget,
@@ -294,7 +293,7 @@ def _explore(
     is absorbing (``seq`` short-circuits), so it finalizes immediately.
     """
     predecessors = {n: frozenset(graph.predecessors(n)) for n in graph}
-    topo = list(nx.topological_sort(graph))
+    topo = topological_sort(graph)
     finals: Dict[object, List[NodeId]] = {}
     root = frozenset(graph.nodes)
     seen: Set[Tuple[frozenset, FileSystem]] = set()
@@ -348,7 +347,7 @@ def _run_order(
 
 
 def _idempotent_on(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     initial: FileSystem,
     budget: _Budget,
@@ -357,7 +356,7 @@ def _idempotent_on(
 
     Mirrors the pipeline's ``e ≡ e;e`` check at one state: an erroring
     first run is trivially idempotent (``seq`` short-circuits)."""
-    order = list(nx.topological_sort(graph))
+    order = topological_sort(graph)
     once = _run_order(programs, order, initial, budget)
     if once is ERROR:
         return None

@@ -1,9 +1,9 @@
 """Tests for the static audit tooling (§9 extension)."""
 
-import networkx as nx
 import pytest
 
 from repro.analysis.audit import audit_writes, prove_never_deleted
+from repro.digraph import DiGraph
 from repro.fs import Path, creat, mkdir, rm, seq, ite, file_, ID
 from repro.resources import Resource, ResourceCompiler
 
@@ -75,7 +75,7 @@ class TestWriteAudit:
 
 class TestNeverDeleted:
     def _graph(self, programs, edges=()):
-        g = nx.DiGraph()
+        g = DiGraph()
         g.add_nodes_from(programs)
         g.add_edges_from(edges)
         return g

@@ -8,7 +8,6 @@ pruning, commutativity) yields the same verdict.
 import itertools
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +16,7 @@ from repro.analysis import (
     DeterminismOptions,
     check_determinism,
 )
+from repro.digraph import DiGraph
 from repro.errors import AnalysisBudgetExceeded
 from repro.fs import (
     ERR,
@@ -37,7 +37,7 @@ from repro.resources import Resource, ResourceCompiler
 
 def build_graph(programs, edges=()):
     """programs: dict name -> expr; edges: (prerequisite, dependent)."""
-    g = nx.DiGraph()
+    g = DiGraph()
     g.add_nodes_from(programs)
     g.add_edges_from(edges)
     return g, programs

@@ -11,7 +11,6 @@ and produce concretely-validating witnesses.
 
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +26,7 @@ from repro.bench.harness import (
 )
 from repro.core.pipeline import Rehearsal
 from repro.corpus import load_source
+from repro.digraph import DiGraph
 from repro.errors import AnalysisBudgetExceeded
 from repro.fs import ID, Path, creat, eval_expr, file_, ite, mkdir, rm, seq
 from repro.logic.terms import TermBank
@@ -45,7 +45,7 @@ NAIVE = DeterminismOptions(
 
 
 def build_graph(programs, edges=()):
-    g = nx.DiGraph()
+    g = DiGraph()
     g.add_nodes_from(programs)
     g.add_edges_from(edges)
     return g, programs

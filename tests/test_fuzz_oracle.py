@@ -1,8 +1,8 @@
 """The concrete interleaving oracle against hand-built catalogs."""
 
-import networkx as nx
 import pytest
 
+from repro.digraph import DiGraph
 from repro.fs import creat, file_, file_with, ite, mkdir, rm, seq
 from repro.fs.filesystem import DIR, FileContent, FileSystem
 from repro.fs.paths import Path
@@ -19,7 +19,7 @@ B = Path.of("/etc/b")
 
 
 def graph_of(programs, edges=()):
-    g = nx.DiGraph()
+    g = DiGraph()
     for name in programs:
         g.add_node(name)
     g.add_edges_from(edges)

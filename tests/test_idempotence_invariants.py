@@ -1,6 +1,5 @@
 """Tests for the §5 checks: equivalence, idempotence, invariants."""
 
-import networkx as nx
 import pytest
 
 from repro.analysis import (
@@ -14,6 +13,7 @@ from repro.analysis import (
     ensures_file,
     ensures_present,
 )
+from repro.digraph import DiGraph
 from repro.fs import (
     ERR,
     ERROR,
@@ -117,7 +117,7 @@ class TestIdempotence:
                 Resource("file", "/etc/ntp.conf", {"content": "pool x"})
             ),
         }
-        g = nx.DiGraph()
+        g = DiGraph()
         g.add_nodes_from(programs)
         g.add_edge("pkg", "conf")
         assert check_idempotence(g, programs).idempotent

@@ -324,7 +324,7 @@ class TestIdempotenceDecomposition:
         # toggle — not idempotent — so tier 2's per-resource check
         # fails and tier 3 must reproduce the exact scratch witness,
         # cold and from the recorded idem_full entry.
-        import networkx as nx
+        from repro.digraph import DiGraph
 
         from repro.analysis.idempotence import check_idempotence
         from repro.fs import Path, creat, file_, ite, rm
@@ -334,7 +334,7 @@ class TestIdempotenceDecomposition:
             "toggle": ite(file_(p), rm(p), creat(p, "x")),
             "plain": creat("/other", "y"),
         }
-        graph = nx.DiGraph()
+        graph = DiGraph()
         graph.add_nodes_from(programs)
         opts = incremental_options(tmp_path)
         scratch = check_idempotence(graph, programs)

@@ -140,11 +140,11 @@ class TestRules:
         # The resource model compiles to guarded (idempotent) programs,
         # so REH011 is exercised at the graph layer with a bare
         # unguarded creat: applying it twice errors (path exists).
-        import networkx as nx
+        from repro.digraph import DiGraph
 
         from repro.fs import syntax as fx
 
-        graph = nx.DiGraph()
+        graph = DiGraph()
         graph.add_node("raw")
         programs = {"raw": fx.Creat(FsPath.of("/x"), "c")}
         report = lint_graph(graph, programs, name="raw.pp")

@@ -5,13 +5,13 @@ corpus benchmarks — the diagnostics ``rehearsal verify --explain`` and
 the batch JSON rows surface.
 """
 
-import networkx as nx
 import pytest
 
 from repro.analysis import DeterminismOptions, check_determinism
 from repro.core.pipeline import Rehearsal
 from repro.core.report import render_determinism, render_explanation
 from repro.corpus import load_source
+from repro.digraph import DiGraph
 from repro.fs import Path, creat, file_, ite, none_, rm, seq
 
 #: benchmark -> (racing pair, contended path) as seeded in the corpus
@@ -95,7 +95,7 @@ class TestSyntheticRaces:
             "a": set_file("/shared", "from-a"),
             "b": set_file("/shared", "from-b"),
         }
-        graph = nx.DiGraph()
+        graph = DiGraph()
         graph.add_nodes_from(programs)
         result = check_determinism(graph, programs, DeterminismOptions())
         assert not result.deterministic
@@ -110,7 +110,7 @@ class TestSyntheticRaces:
         programs = {
             f"w{i}": set_file("/shared", f"c{i}") for i in range(3)
         }
-        graph = nx.DiGraph()
+        graph = DiGraph()
         graph.add_nodes_from(programs)
         result = check_determinism(graph, programs, DeterminismOptions())
         assert not result.deterministic
@@ -126,7 +126,7 @@ class TestSyntheticRaces:
             "a": set_file("/shared", "one"),
             "b": set_file("/shared", "two"),
         }
-        graph = nx.DiGraph()
+        graph = DiGraph()
         graph.add_nodes_from(programs)
         graph.add_edge("a", "b")
         result = check_determinism(graph, programs, DeterminismOptions())

@@ -5,7 +5,6 @@ generated catalogs, the §6 corpus, the cube pool path, and byte-level
 import copy
 from pathlib import Path
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +14,7 @@ from repro.analysis.determinism import DeterminismOptions, check_determinism
 from repro.bench.harness import conflicting_write
 from repro.core.pipeline import Rehearsal
 from repro.corpus import BENCHMARK_NAMES, load_source, manifest_paths
+from repro.digraph import DiGraph
 from repro.service import BatchVerifier
 from repro.testing import CaseGenerator
 
@@ -87,7 +87,7 @@ class TestCubePoolPath:
             f"w{i}": conflicting_write("/shared", f"content-{i}")
             for i in range(n)
         }
-        graph = nx.DiGraph()
+        graph = DiGraph()
         graph.add_nodes_from(programs)
         if with_final:
             programs["final"] = conflicting_write("/shared", "x")

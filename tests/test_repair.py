@@ -20,9 +20,9 @@ def overwrite(path, content):
 
 class TestBasicRepair:
     def test_already_deterministic_needs_nothing(self):
-        import networkx as nx
+        from repro.digraph import DiGraph
 
-        g = nx.DiGraph()
+        g = DiGraph()
         programs = {"a": creat("/a", "x"), "b": creat("/b", "y")}
         g.add_nodes_from(programs)
         result = synthesize_repair(g, programs)
@@ -32,11 +32,11 @@ class TestBasicRepair:
     def test_mkdir_then_file(self):
         """The classic provider/consumer pair: the repair must order
         the directory creator first."""
-        import networkx as nx
+        from repro.digraph import DiGraph
 
         from repro.fs import mkdir
 
-        g = nx.DiGraph()
+        g = DiGraph()
         programs = {"dir": mkdir("/a"), "file": creat("/a/f", "x")}
         g.add_nodes_from(programs)
         result = synthesize_repair(g, programs)
@@ -44,9 +44,9 @@ class TestBasicRepair:
         assert result.added_edges == [("dir", "file")]
 
     def test_two_writers_need_an_order(self):
-        import networkx as nx
+        from repro.digraph import DiGraph
 
-        g = nx.DiGraph()
+        g = DiGraph()
         programs = {"w1": overwrite("/f", "one"), "w2": overwrite("/f", "two")}
         g.add_nodes_from(programs)
         result = synthesize_repair(g, programs)
@@ -58,9 +58,9 @@ class TestBasicRepair:
 
     def test_unrepairable_budget(self):
         """With a zero edge budget nothing can be fixed."""
-        import networkx as nx
+        from repro.digraph import DiGraph
 
-        g = nx.DiGraph()
+        g = DiGraph()
         programs = {"w1": overwrite("/f", "one"), "w2": overwrite("/f", "two")}
         g.add_nodes_from(programs)
         result = synthesize_repair(g, programs, max_edges=0)

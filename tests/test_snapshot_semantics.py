@@ -77,9 +77,9 @@ class TestFig3cUnderSnapshot:
         """Three consecutive runs from the empty machine: installed →
         removed → installed."""
         graph, programs = snapshot_tool.compile(FIG_3C_ORDERED)
-        import networkx as nx
+        from repro.digraph import topological_sort
 
-        order = list(nx.topological_sort(graph))
+        order = topological_sort(graph)
         run = seq(*[programs[n] for n in order])
         s1 = eval_expr(run, FileSystem.empty())
         assert s1 is not ERROR
