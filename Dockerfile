@@ -14,10 +14,6 @@ FROM python:3.12-slim
 
 WORKDIR /opt/rehearsal
 
-# Install the runtime dependency first so source edits don't bust the
-# pip layer (install_requires is the source of truth; this mirrors it).
-RUN pip install --no-cache-dir networkx
-
 COPY setup.py README.md ./
 COPY src ./src
 RUN pip install --no-cache-dir .

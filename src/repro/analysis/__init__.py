@@ -2,87 +2,70 @@
 pruning (§4.4), resource elimination (§4.4), determinacy (§4, Thm. 1),
 equivalence/idempotence and invariants (§5)."""
 
-from repro.analysis.commutativity import (
-    Access,
-    Footprint,
-    exprs_commute,
-    footprint,
-    footprints_commute,
-)
-from repro.analysis.definitive import (
-    A_DIR,
-    A_DNE,
-    AFile,
-    BOT,
-    TOP,
-    WriteProfile,
-    analyze_definitive,
-)
-from repro.analysis.determinism import (
-    DeterminismOptions,
-    DeterminismResult,
-    DeterminismStats,
-    check_determinism,
-)
-from repro.analysis.elimination import EliminationReport, eliminate_resources
-from repro.analysis.equivalence import (
-    EquivalenceResult,
-    check_commutes_semantically,
-    check_equivalence,
-)
-from repro.analysis.idempotence import (
-    IdempotenceResult,
-    check_idempotence,
-    check_idempotence_expr,
-)
-from repro.analysis.invariants import (
-    InvariantResult,
-    check_invariant,
-    ensures_absent,
-    ensures_directory,
-    ensures_file,
-    ensures_present,
-)
-from repro.analysis.localize import RaceReport, localize_race
-from repro.analysis.pruning import PruneReport, prune, prune_manifest
-from repro.analysis.repair import RepairResult, synthesize_repair
+# Lazy (PEP 562), like repro itself: importing one analysis (the
+# pipeline imports determinism) must not load repair and the other
+# analyses it never runs.
 
-__all__ = [
-    "A_DIR",
-    "A_DNE",
-    "AFile",
-    "Access",
-    "BOT",
-    "DeterminismOptions",
-    "DeterminismResult",
-    "DeterminismStats",
-    "EliminationReport",
-    "EquivalenceResult",
-    "Footprint",
-    "IdempotenceResult",
-    "InvariantResult",
-    "PruneReport",
-    "RaceReport",
-    "RepairResult",
-    "TOP",
-    "WriteProfile",
-    "analyze_definitive",
-    "check_commutes_semantically",
-    "check_determinism",
-    "check_equivalence",
-    "check_idempotence",
-    "check_idempotence_expr",
-    "check_invariant",
-    "ensures_absent",
-    "ensures_directory",
-    "ensures_file",
-    "ensures_present",
-    "exprs_commute",
-    "eliminate_resources",
-    "footprint",
-    "footprints_commute",
-    "localize_race",
-    "prune",
-    "prune_manifest",
-    "synthesize_repair",
-]
+from importlib import import_module
+
+#: name -> defining module (parsed by the testmap import scanner).
+_LAZY_EXPORTS = {
+    "AFile": "repro.analysis.definitive",
+    "A_DIR": "repro.analysis.definitive",
+    "A_DNE": "repro.analysis.definitive",
+    "Access": "repro.analysis.commutativity",
+    "BOT": "repro.analysis.definitive",
+    "DeterminismOptions": "repro.analysis.determinism",
+    "DeterminismResult": "repro.analysis.determinism",
+    "DeterminismStats": "repro.analysis.determinism",
+    "EliminationReport": "repro.analysis.elimination",
+    "EquivalenceResult": "repro.analysis.equivalence",
+    "Footprint": "repro.analysis.commutativity",
+    "IdempotenceResult": "repro.analysis.idempotence",
+    "InvariantResult": "repro.analysis.invariants",
+    "PruneReport": "repro.analysis.pruning",
+    "RaceReport": "repro.analysis.localize",
+    "RepairResult": "repro.analysis.repair",
+    "TOP": "repro.analysis.definitive",
+    "WriteProfile": "repro.analysis.definitive",
+    "analyze_definitive": "repro.analysis.definitive",
+    "check_commutes_semantically": "repro.analysis.equivalence",
+    "check_determinism": "repro.analysis.determinism",
+    "check_equivalence": "repro.analysis.equivalence",
+    "check_idempotence": "repro.analysis.idempotence",
+    "check_idempotence_expr": "repro.analysis.idempotence",
+    "check_invariant": "repro.analysis.invariants",
+    "eliminate_resources": "repro.analysis.elimination",
+    "ensures_absent": "repro.analysis.invariants",
+    "ensures_directory": "repro.analysis.invariants",
+    "ensures_file": "repro.analysis.invariants",
+    "ensures_present": "repro.analysis.invariants",
+    "exprs_commute": "repro.analysis.commutativity",
+    "footprint": "repro.analysis.commutativity",
+    "footprints_commute": "repro.analysis.commutativity",
+    "localize_race": "repro.analysis.localize",
+    "prune": "repro.analysis.pruning",
+    "prune_manifest": "repro.analysis.pruning",
+    "synthesize_repair": "repro.analysis.repair",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+
+def __getattr__(name):
+    target = _LAZY_EXPORTS.get(name)
+    if target is not None:
+        return getattr(import_module(target), name)
+    qualified = f"{__name__}.{name}"
+    try:
+        return import_module(qualified)
+    except ModuleNotFoundError as exc:
+        if exc.name == qualified:
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}"
+            ) from None
+        raise
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

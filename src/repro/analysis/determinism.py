@@ -52,7 +52,6 @@ from repro.fs import FileSystem, eval_expr, seq
 from repro.fs import syntax as fx
 from repro.logic.terms import TermBank
 from repro.sat.backend import parse_backend_spec
-from repro.sat.cube import schedule, split_frontier
 from repro.smt.encoder import apply_expr
 from repro.smt.model import decode_filesystem
 from repro.smt.query import IncrementalQuery
@@ -1005,6 +1004,8 @@ def _conquer_cubes(
     finals order; effort counters are summed (cross-cube memo sharing
     is lost, so ``branches_explored`` exceeds the sequential count —
     the classic cube-and-conquer overlap tax)."""
+    from repro.sat.cube import schedule, split_frontier
+
     bank = explorer.bank
 
     def run_cube(cube):

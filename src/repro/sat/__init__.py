@@ -2,44 +2,56 @@
 and the pluggable backend layer (portfolio racing, cube-and-conquer
 scheduling, external SAT-competition solvers — see docs/solver.md)."""
 
-from repro.sat.backend import (
-    DEFAULT_CONFIG,
-    SolverBackend,
-    SolverConfig,
-    backend_label,
-    default_portfolio,
-    make_solver,
-    parse_backend_spec,
-)
-from repro.sat.brute import brute_force_solve, check_assignment, count_models
-from repro.sat.cube import Cube, merge_stats, schedule, split_frontier
-from repro.sat.dimacs import dimacs_to_string, read_dimacs, write_dimacs
-from repro.sat.external import ExternalBackend, find_external_solver
-from repro.sat.portfolio import PortfolioBackend
-from repro.sat.solver import SolveResult, Solver, solve_cnf
+# Lazy (PEP 562), like repro itself: every SAT query imports
+# repro.sat.solver through this package and must not load the
+# portfolio, cube and external-solver layers it does not run.
 
-__all__ = [
-    "Cube",
-    "DEFAULT_CONFIG",
-    "ExternalBackend",
-    "PortfolioBackend",
-    "SolveResult",
-    "Solver",
-    "SolverBackend",
-    "SolverConfig",
-    "backend_label",
-    "brute_force_solve",
-    "check_assignment",
-    "count_models",
-    "default_portfolio",
-    "dimacs_to_string",
-    "find_external_solver",
-    "make_solver",
-    "merge_stats",
-    "parse_backend_spec",
-    "read_dimacs",
-    "schedule",
-    "solve_cnf",
-    "split_frontier",
-    "write_dimacs",
-]
+from importlib import import_module
+
+#: name -> defining module (parsed by the testmap import scanner).
+_LAZY_EXPORTS = {
+    "Cube": "repro.sat.cube",
+    "DEFAULT_CONFIG": "repro.sat.backend",
+    "ExternalBackend": "repro.sat.external",
+    "PortfolioBackend": "repro.sat.portfolio",
+    "SolveResult": "repro.sat.solver",
+    "Solver": "repro.sat.solver",
+    "SolverBackend": "repro.sat.backend",
+    "SolverConfig": "repro.sat.backend",
+    "backend_label": "repro.sat.backend",
+    "brute_force_solve": "repro.sat.brute",
+    "check_assignment": "repro.sat.brute",
+    "count_models": "repro.sat.brute",
+    "default_portfolio": "repro.sat.backend",
+    "dimacs_to_string": "repro.sat.dimacs",
+    "find_external_solver": "repro.sat.external",
+    "make_solver": "repro.sat.backend",
+    "merge_stats": "repro.sat.cube",
+    "parse_backend_spec": "repro.sat.backend",
+    "read_dimacs": "repro.sat.dimacs",
+    "schedule": "repro.sat.cube",
+    "solve_cnf": "repro.sat.solver",
+    "split_frontier": "repro.sat.cube",
+    "write_dimacs": "repro.sat.dimacs",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+
+def __getattr__(name):
+    target = _LAZY_EXPORTS.get(name)
+    if target is not None:
+        return getattr(import_module(target), name)
+    qualified = f"{__name__}.{name}"
+    try:
+        return import_module(qualified)
+    except ModuleNotFoundError as exc:
+        if exc.name == qualified:
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}"
+            ) from None
+        raise
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

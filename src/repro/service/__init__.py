@@ -14,40 +14,47 @@ behind a content-addressed verdict cache.
   only needed by the daemon entry points).
 """
 
-from repro.service.cache import (
-    VerdictCache,
-    cache_key,
-    default_cache_dir,
-    source_digest,
-)
-from repro.service.tiered import TieredVerdictCache
-from repro.service.orchestrator import (
-    BatchVerifier,
-    discover_manifests,
-    verify_batch,
-)
-from repro.service.schema import (
-    BatchReport,
-    CacheStats,
-    ManifestResult,
-    batch_table_rows,
-    normalized_row,
-    normalized_rows,
-)
+# Lazy (PEP 562), like repro itself: `verify --incremental` reaches
+# repro.service.incremental through this package and must not pay for
+# the orchestrator's process pool (multiprocessing, concurrent.futures).
 
-__all__ = [
-    "BatchReport",
-    "BatchVerifier",
-    "CacheStats",
-    "ManifestResult",
-    "TieredVerdictCache",
-    "VerdictCache",
-    "batch_table_rows",
-    "cache_key",
-    "default_cache_dir",
-    "discover_manifests",
-    "normalized_row",
-    "normalized_rows",
-    "source_digest",
-    "verify_batch",
-]
+from importlib import import_module
+
+#: name -> defining module (parsed by the testmap import scanner).
+_LAZY_EXPORTS = {
+    "BatchReport": "repro.service.schema",
+    "BatchVerifier": "repro.service.orchestrator",
+    "CacheStats": "repro.service.schema",
+    "ManifestResult": "repro.service.schema",
+    "TieredVerdictCache": "repro.service.tiered",
+    "VerdictCache": "repro.service.cache",
+    "batch_table_rows": "repro.service.schema",
+    "cache_key": "repro.service.cache",
+    "default_cache_dir": "repro.service.cache",
+    "discover_manifests": "repro.service.orchestrator",
+    "normalized_row": "repro.service.schema",
+    "normalized_rows": "repro.service.schema",
+    "source_digest": "repro.service.cache",
+    "verify_batch": "repro.service.orchestrator",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+
+def __getattr__(name):
+    target = _LAZY_EXPORTS.get(name)
+    if target is not None:
+        return getattr(import_module(target), name)
+    qualified = f"{__name__}.{name}"
+    try:
+        return import_module(qualified)
+    except ModuleNotFoundError as exc:
+        if exc.name == qualified:
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}"
+            ) from None
+        raise
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

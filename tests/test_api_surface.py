@@ -55,3 +55,19 @@ class TestStableSurface:
 
     def test_version_shape(self):
         assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
+@pytest.mark.parametrize(
+    "package", ["repro.analysis", "repro.sat", "repro.service", "repro.testing"]
+)
+def test_lazy_subpackage_exports_resolve(package):
+    """The subpackages use the same lazy table: every public name
+    still imports from the package, from the module the table names."""
+    import importlib
+
+    module = importlib.import_module(package)
+    assert module.__all__ == sorted(module._LAZY_EXPORTS)
+    for name, target in module._LAZY_EXPORTS.items():
+        assert getattr(module, name) is getattr(
+            importlib.import_module(target), name
+        ), name
