@@ -121,9 +121,10 @@ def ensure_directory_tree(
                 if ancestor != below:
                     continue
             dirs.add(ancestor)
-    steps = [
-        guarded_mkdir(d) for d in sorted(dirs, key=lambda d: d.depth())
-    ]
+    # Same-depth siblings sort by name: set order varies with the hash
+    # seed, and the program text feeds CNF numbering and store digests.
+    ordered = sorted(dirs, key=lambda d: (d.depth(), str(d)))
+    steps = [guarded_mkdir(d) for d in ordered]
     return seq(*steps)
 
 
