@@ -116,7 +116,7 @@ def localize_race(
     ``descendants`` — optional node → descendant-set mapping of
     ``graph`` (the explorer precomputes it); when provided, the
     pair-ranking pass answers "are a and b ordered?" with two set
-    lookups instead of an ``has_path`` traversal per candidate
+    lookups instead of a ``has_path`` traversal per candidate
     pair.
 
     ``witness`` — the decoded non-determinism witness filesystem.
