@@ -38,7 +38,6 @@ from repro.bench.harness import (
     fig13_deterministic_rows,
     fig13_exploration_rows,
     fig13_rows,
-    portfolio_speedup_rows,
     render_rows,
     verdict_rows,
     warm_reverify_rows,
@@ -108,8 +107,9 @@ def figure_specs(timeout: float, smoke: bool):
     figures.append(
         (
             "exploration",
-            f"Exploration{subset} — reachable-state DAG on the Fig. 13 "
-            "workload (branches vs. the n! order tree)",
+            f"Exploration{subset} — reachable-state DAG on the "
+            "deterministic Fig. 13 variant (branches vs. the n! order "
+            "tree)",
             ["n", "branches", "memo hits", "distinct finals", "time"],
             lambda: fig13_exploration_rows(
                 ns=(2, 3, 4, 5, 6) if smoke else (2, 3, 4, 5, 6, 7, 8),
@@ -152,27 +152,6 @@ def figure_specs(timeout: float, smoke: bool):
                     worker_counts=worker_counts, names=names
                 )
             ],
-        )
-    )
-    speedup_names = (
-        ("irc-nondet",)
-        if smoke
-        else (
-            "dns-nondet",
-            "irc-nondet",
-            "logstash-nondet",
-            "ntp-nondet",
-            "rsyslog-nondet",
-            "xinetd-nondet",
-        )
-    )
-    figures.append(
-        (
-            "portfolio-speedup",
-            f"Portfolio / cube speedup{subset} — determinacy check, "
-            "sequential vs. solver_workers=4 (see docs/solver.md)",
-            ["benchmark", "sequential", "4 workers", "speedup"],
-            lambda: portfolio_speedup_rows(names=speedup_names, workers=4),
         )
     )
     figures.append(

@@ -39,8 +39,7 @@ from importlib import import_module
 # 1.3.0: race localization validates candidate pairs concretely on the
 # witness; 1.4.0: the static analyzer (repro.analysis.lint) ships and
 # verify-batch rows gain a lint block; 1.5.0: the pluggable
-# SolverBackend layer (portfolio racing, cube-and-conquer, external
-# solvers) and verify-batch rows gain ``solver_backend``.
+# SolverBackend layer and verify-batch rows gain ``solver_backend``.
 __version__ = "1.6.0"
 
 #: name -> defining module.  A static literal on purpose: the import
@@ -57,7 +56,6 @@ _LAZY_EXPORTS = {
     "ExternalBackend": "repro.sat.external",
     "IdempotenceResult": "repro.analysis.idempotence",
     "ManifestResult": "repro.service",
-    "PortfolioBackend": "repro.sat.portfolio",
     "PuppetEvalError": "repro.errors",
     "PuppetSyntaxError": "repro.errors",
     "Rehearsal": "repro.core.pipeline",
@@ -65,7 +63,6 @@ _LAZY_EXPORTS = {
     "ReproError": "repro.errors",
     "ResourceModelError": "repro.errors",
     "SolverBackend": "repro.sat.backend",
-    "SolverConfig": "repro.sat.backend",
     "TieredVerdictCache": "repro.service.tiered",
     "VerdictCache": "repro.service",
     "VerificationReport": "repro.core.pipeline",

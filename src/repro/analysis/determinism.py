@@ -16,13 +16,14 @@ initial filesystem to at most one outcome:
    fringe resource commutes with every other remaining resource that
    could be scheduled before or after it, explore only that resource
    next instead of branching;
-3. assert that some explored final state differs from the first one —
-   state equality is transitive at a fixed initial state, so comparing
-   every branch against branch 0 is equivalent to comparing all pairs.
-   Final states are already deduplicated by fingerprint (one witness
-   order kept per state), so the solver only ever sees genuinely
-   different finals;
-4. hand the formula to the SAT backend.  SAT ⇒ non-deterministic, with
+3. race each final state against the first one as exploration lands
+   it (*eager first-divergence racing*): state equality is transitive
+   at a fixed initial state, so comparing every final against final 0
+   is equivalent to comparing all pairs.  Finals are already
+   deduplicated by fingerprint (one witness order kept per state), so
+   the solver only ever sees genuinely different finals;
+4. each comparison is one assumption-guarded check on a shared SAT
+   backend.  The first SAT stops exploration ⇒ non-deterministic, with
    a decoded witness initial filesystem and two diverging orders.
 
 The memoization changes the Fig. 13 asymptotics: n unordered,
@@ -101,24 +102,10 @@ class DeterminismOptions:
     max_conflicts: Optional[int] = None
     #: SAT backend spec consumed by
     #: :func:`repro.sat.backend.parse_backend_spec`: ``"cdcl"`` (the
-    #: pure-Python reference), ``"portfolio[:K]"`` (race K solver
-    #: configurations per query), or ``"external:auto|<name-or-path>"``
+    #: pure-Python reference) or ``"external:auto|<name-or-path>"``
     #: (a SAT-competition binary on PATH).  A plain string so options
     #: stay picklable and hash into the verdict-cache key.
     solver: str = "cdcl"
-    #: Portfolio size: with a value K > 1 (and ``solver="cdcl"``),
-    #: every SAT query races K diversified CDCL configurations with
-    #: deterministic first-answer-wins (lowest member index in the
-    #: earliest budget round) — see :mod:`repro.sat.portfolio`.
-    portfolio: int = 1
-    #: Cube-and-conquer width: with a value N > 1 the reachable-state
-    #: exploration runs in cube mode — finals race against the
-    #: canonical base order *as they are discovered*, stopping at the
-    #: first divergence, and graphs with a frontier above the
-    #: :data:`CUBE_POOL_GRAIN` threshold split the frontier into cubes
-    #: conquered across N workers (:mod:`repro.sat.cube`).  Also the
-    #: process-pool width for portfolio helper attempts.
-    solver_workers: int = 1
     #: Persist intermediate results (CNF blocks, commutativity
     #: verdicts, idempotence, exploration subtrees) across processes in
     #: the :mod:`repro.service.incremental` store, so re-verifying an
@@ -157,7 +144,9 @@ class DeterminismStats:
     states_merged: int = 0
     #: Final states surviving fingerprint deduplication — what the SAT
     #: loop actually compares (the order tree has one final per
-    #: explored order; the DAG keeps one witness order per state).
+    #: explored order; the DAG keeps one witness order per state).  On
+    #: a non-deterministic graph, only the finals reached up to the
+    #: first divergence.
     distinct_finals: int = 0
     sat_vars: int = 0
     sat_clauses: int = 0
@@ -240,80 +229,47 @@ class _Explorer:
         bank: TermBank,
         options: DeterminismOptions,
         deadline: Optional[float],
-        template: Optional["_Explorer"] = None,
     ):
         self.graph = graph
         self.programs = programs
         self.bank = bank
         self.options = options
         self.deadline = deadline
-        if template is not None:
-            # A cube's sub-explorer shares the (read-only) per-graph
-            # precomputations instead of redoing the O(V·E) work.
-            self.prints = template.prints
-            self.commutes = template.commutes
-            self.descendants = template.descendants
-            self.predecessors = template.predecessors
-            self.sort_key = template.sort_key
-        else:
-            nodes = list(graph.nodes)
-            self.prints: Dict[NodeId, Footprint] = {
-                n: footprint(programs[n]) for n in nodes
-            }
-            self.commutes = commutativity_matrix(self.prints)
-            self.descendants: Dict[NodeId, frozenset] = {
-                n: frozenset(descendants(graph, n)) for n in nodes
-            }
-            self.predecessors: Dict[NodeId, frozenset] = {
-                n: frozenset(graph.predecessors(n)) for n in nodes
-            }
-            self.sort_key: Dict[NodeId, str] = {
-                n: str(n) for n in nodes
-            }
+        nodes = list(graph.nodes)
+        self.prints: Dict[NodeId, Footprint] = {
+            n: footprint(programs[n]) for n in nodes
+        }
+        self.commutes = commutativity_matrix(self.prints)
+        self.descendants: Dict[NodeId, frozenset] = {
+            n: frozenset(descendants(graph, n)) for n in nodes
+        }
+        self.predecessors: Dict[NodeId, frozenset] = {
+            n: frozenset(graph.predecessors(n)) for n in nodes
+        }
+        self.sort_key: Dict[NodeId, str] = {n: str(n) for n in nodes}
         self.branches = 0
         self.memo_hits = 0
         self.states_merged = 0
         self.explore_seconds = 0.0
         self.finals: List[Tuple[SymbolicState, List[NodeId]]] = []
 
-    def run(
-        self,
-        init: SymbolicState,
-        remaining: Optional[frozenset] = None,
-        prefix: Tuple[NodeId, ...] = (),
-    ) -> None:
-        """Explore exhaustively (drains :meth:`walk`)."""
-        for _ in self.walk(init, remaining, prefix):
-            pass
-
-    def walk(
-        self,
-        init: SymbolicState,
-        remaining: Optional[frozenset] = None,
-        prefix: Tuple[NodeId, ...] = (),
-    ):
+    def walk(self, init: SymbolicState):
         """Lazy exploration: a generator yielding each deduplicated
         final ``(state, order)`` in DFS order, as it is discovered
-        (and appended to :attr:`finals`).  Cube mode consumes finals
-        eagerly — racing each against the base order while exploration
-        continues — which is why this is a generator and not a loop;
-        ``run`` drains it for the classic explore-then-solve shape.
-        Time between yields accrues to :attr:`explore_seconds`, so the
-        explore/solve split in the stats survives the interleaving.
-
-        ``remaining``/``prefix`` let a cube start below the root: the
-        sub-exploration behaves as if ``prefix`` was already applied
-        to reach ``init``.
+        (and appended to :attr:`finals`).  ``check_determinism`` races
+        each final against the base order while exploration continues
+        and stops consuming at the first divergence, which is why this
+        is a generator and not a loop.  Time between yields accrues to
+        :attr:`explore_seconds`, so the explore/solve split in the
+        stats survives the interleaving.
         """
         use_memo = self.options.use_memoization
         #: (frozenset(remaining), fingerprint) -> arrival count.  The
         #: first arrival enqueues the state; later ones only bump the
         #: counters.
         arrivals: Dict[tuple, int] = {}
-        if remaining is None:
-            remaining = frozenset(self.graph.nodes)
         stack: List[Tuple[frozenset, SymbolicState, tuple]] = [
-            (remaining, init, tuple(prefix))
+            (frozenset(self.graph.nodes), init, ())
         ]
         tick = time.perf_counter()
         while stack:
@@ -355,7 +311,7 @@ class _Explorer:
         """The schedulable resources of ``remaining`` (no unsatisfied
         predecessor), in canonical sorted order, after the Fig. 9a
         commutativity reduction — the branching choices of one
-        expansion, and the cube split of the root."""
+        expansion."""
         fringe = sorted(
             (
                 n
@@ -425,8 +381,10 @@ class _IncrementalExplorer(_Explorer):
       scratch (see ``check_determinism``).  Grafted effort counters
       are kept out of :attr:`branches` so the budget check behaves
       like the explored walk;
-    - every arrival DAG edge is recorded so a clean, graft-free walk
-      can spill each subtree's standalone result for future runs.
+    - every arrival DAG edge is recorded so a clean, graft-free,
+      *drained* walk can spill each subtree's standalone result for
+      future runs (a walk stopped at the first divergence leaves
+      subtrees half explored, so it spills nothing).
     """
 
     def __init__(self, graph, programs, bank, options, deadline, inc):
@@ -461,13 +419,12 @@ class _IncrementalExplorer(_Explorer):
         self._is_final[idx] = not remaining
         return idx
 
-    def walk(self, init, remaining=None, prefix=()):
+    def walk(self, init):
         arrivals: Dict[tuple, int] = {}
-        if remaining is None:
-            remaining = frozenset(self.graph.nodes)
+        remaining = frozenset(self.graph.nodes)
         root_idx = self._arrive(remaining, init)
         stack: List[Tuple[frozenset, SymbolicState, tuple, int]] = [
-            (remaining, init, tuple(prefix), root_idx)
+            (remaining, init, (), root_idx)
         ]
         tick = time.perf_counter()
         while stack:
@@ -529,7 +486,7 @@ class _IncrementalExplorer(_Explorer):
         return out
 
     def spill(self) -> None:
-        """After a clean, graft-free, complete walk: persist each
+        """After a clean, graft-free, drained walk: persist each
         interior node's standalone subtree summary.  For a sub-DAG
         with V nodes and E (simple) edges, a standalone exploration
         from its root reports exactly E branches, E − (V − 1) memo
@@ -700,14 +657,12 @@ def check_determinism(
     stats.modeled_paths = len(domains)
     init = initial_state(bank, domains)
 
-    # Cross-run persistence: only on the sequential, memoized path
-    # (cube workers split the walk, and the graft bookkeeping assumes
-    # the reachable-state DAG) and only for string node ids (recorded
-    # orders and races round-trip through JSON).
+    # Cross-run persistence: only on the memoized path (the graft
+    # bookkeeping assumes the reachable-state DAG) and only for string
+    # node ids (recorded orders and races round-trip through JSON).
     inc = None
     if (
         options.incremental
-        and options.solver_workers == 1
         and options.use_memoization
         and all(isinstance(n, str) for n in graph.nodes)
     ):
@@ -736,97 +691,65 @@ def check_determinism(
         stats.commute_cache_hits += explorer.commute_hits
     else:
         explorer = _Explorer(work_graph, work_programs, bank, options, deadline)
-    backend = _backend_factory(options)
+    backend = parse_backend_spec(options.solver)
 
-    # All order-pair queries for this manifest share one incrementally
-    # reused solver: the initial-state constraints are asserted once,
-    # each pair's state difference is guarded by a selector variable,
-    # and every check retains the clauses (and learned clauses) of the
-    # previous ones.  Pairs are encoded lazily — a diverging pair ends
-    # the loop, and anything learned refuting earlier pairs carries
-    # over to later ones.
+    # Eager first-divergence racing.  Each final races against the
+    # canonical base order (the first final) the moment exploration
+    # lands it, and the first divergence stops exploration — on
+    # non-deterministic manifests most of the state space is never
+    # walked.  All order-pair queries share one incrementally reused
+    # solver: the initial-state constraints are asserted once, each
+    # pair's state difference is guarded by a selector variable, and
+    # every check retains the clauses (and learned clauses) of the
+    # previous ones.
     query: Optional[IncrementalQuery] = None
     result = None
     sat_index = None
     sat_selector = None
-
-    def init_query() -> IncrementalQuery:
-        encode_start = time.perf_counter()
-        q = IncrementalQuery(bank, backend=backend)
-        q.assert_term(
-            initial_constraints(
-                bank, domains, well_formed=options.well_formed_initial
+    drained = False
+    walk = explorer.walk(init)
+    base = next(walk, None)  # None only when grafts cover every final
+    for state_i, _order_i in walk:
+        # walk() only re-checks the deadline at its next expansion;
+        # finals already sitting on the DFS stack would each get a
+        # full SAT query past the timeout without this check.
+        if deadline is not None and time.perf_counter() > deadline:
+            raise AnalysisBudgetExceeded(
+                "determinism check timed out",
+                branches=explorer.branches,
+                wall_clock=True,
+                memo_hits=explorer.memo_hits,
+                states_merged=explorer.states_merged,
             )
-        )
+        i = len(explorer.finals) - 1
+        encode_start = time.perf_counter()
+        differ = states_differ(bank, state_i, base[0], domains.paths)
+        if differ is bank.FALSE:
+            stats.encode_seconds += time.perf_counter() - encode_start
+            continue  # symbolically identical final states
+        if query is None:
+            query = IncrementalQuery(bank, backend=backend)
+            query.assert_term(
+                initial_constraints(
+                    bank, domains, well_formed=options.well_formed_initial
+                )
+            )
+        selector = query.add_selector(f"pair${i}", differ)
         stats.encode_seconds += time.perf_counter() - encode_start
-        return q
-
-    eager_raced = False
-    if options.solver_workers > 1:
-        root = frozenset(work_graph.nodes)
-        choices = explorer.frontier(root)
-        if (
-            len(choices) > 1
-            and work_graph.number_of_nodes() >= CUBE_POOL_GRAIN
-        ):
-            # Coarse-grained graph: split the root frontier into cubes
-            # conquered across workers, then race the merged finals
-            # below exactly like the sequential path.
-            _conquer_cubes(explorer, init, root, choices, options)
-        else:
-            # Fine-grained graph (the common case): eager in-process
-            # cube mode.  Each final races against the canonical base
-            # order the moment exploration lands it, and the first
-            # divergence stops exploration — on nondeterministic
-            # manifests most of the state space is never walked.
-            # Discovery order equals the sequential DFS finals order,
-            # so the selector names, clause assertion order, and solver
-            # state at the first SAT are identical to the sequential
-            # backend's — which is why race localizations match
-            # byte-for-byte.
-            eager_raced = True
-            walk = explorer.walk(init)
-            base_state, base_order = next(walk)
-            for state_i, _order_i in walk:
-                # walk() only re-checks the deadline at its next
-                # expansion; finals already sitting on the DFS stack
-                # would each get a full SAT query past the timeout
-                # without this check (mirrors the sequential loop).
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise AnalysisBudgetExceeded(
-                        "determinism check timed out",
-                        branches=explorer.branches,
-                        wall_clock=True,
-                        memo_hits=explorer.memo_hits,
-                        states_merged=explorer.states_merged,
-                    )
-                i = len(explorer.finals) - 1
-                encode_start = time.perf_counter()
-                differ = states_differ(
-                    bank, state_i, base_state, domains.paths
-                )
-                if differ is bank.FALSE:
-                    stats.encode_seconds += (
-                        time.perf_counter() - encode_start
-                    )
-                    continue  # symbolically identical final states
-                if query is None:
-                    query = init_query()
-                selector = query.add_selector(f"pair${i}", differ)
-                stats.encode_seconds += time.perf_counter() - encode_start
-                result = query.check(
-                    assumptions=[selector],
-                    max_conflicts=options.max_conflicts,
-                )
-                stats.sat_queries += 1
-                if result.sat:
-                    sat_index = i
-                    sat_selector = selector
-                    break
-                if not result.core_lits:
-                    break
+        result = query.check(
+            assumptions=[selector], max_conflicts=options.max_conflicts
+        )
+        stats.sat_queries += 1
+        if result.sat:
+            sat_index = i
+            sat_selector = selector
+            break
+        if not result.core_lits:
+            # The initial-state constraints alone are unsatisfiable:
+            # no pair can ever diverge, skip the remaining queries.
+            break
     else:
-        explorer.run(init)
+        drained = True
 
     stats.explore_seconds = explorer.explore_seconds
     stats.branches_explored = explorer.branches
@@ -835,22 +758,24 @@ def check_determinism(
     finals = explorer.finals
     stats.distinct_finals = len(finals)
 
-    if inc is not None and isinstance(explorer, _IncrementalExplorer):
+    if inc is not None:
         stats.subtree_reuse_hits += explorer.subtree_hits
         stats.branches_explored += explorer.graft_branches
         stats.memo_hits += explorer.graft_memo
         stats.states_merged += explorer.graft_merged
-        explorer.spill()
+        if drained:
+            explorer.spill()
         if explorer.grafted:
             # Some subtrees were served from the store, so `finals`
             # only covers the explored region.  The graft is
-            # conclusive only when every final state — explored and
-            # grafted — has the same digest; anything else (including
-            # a grafted divergence) needs the symbolic witness, which
-            # only a from-scratch walk can produce.
+            # conclusive only when the walk drained and every final
+            # state — explored and grafted — has the same digest;
+            # anything else (including a divergence the eager loop
+            # found) needs the witness a from-scratch walk produces,
+            # so witnesses never depend on the store's temperature.
             combined = explorer.combined_final_digests()
             stats.distinct_finals = len(combined)
-            if len(combined) == 1:
+            if drained and len(combined) == 1:
                 stats.total_seconds = time.perf_counter() - start
                 return DeterminismResult(True, stats)
             scratch = check_determinism(
@@ -858,45 +783,6 @@ def check_determinism(
             )
             inc.record_root(scratch)
             return scratch
-
-    if len(finals) <= 1:
-        stats.total_seconds = time.perf_counter() - start
-        if inc is not None:
-            inc.record_root(DeterminismResult(True, stats))
-        return DeterminismResult(True, stats)
-
-    base_state, base_order = finals[0]
-    if not eager_raced:
-        query = init_query()
-        for i in range(1, len(finals)):
-            if deadline is not None and time.perf_counter() > deadline:
-                raise AnalysisBudgetExceeded(
-                    "determinism check timed out",
-                    branches=explorer.branches,
-                    wall_clock=True,
-                    memo_hits=explorer.memo_hits,
-                    states_merged=explorer.states_merged,
-                )
-            state_i, _ = finals[i]
-            encode_start = time.perf_counter()
-            differ = states_differ(bank, state_i, base_state, domains.paths)
-            if differ is bank.FALSE:
-                stats.encode_seconds += time.perf_counter() - encode_start
-                continue  # symbolically identical final states
-            selector = query.add_selector(f"pair${i}", differ)
-            stats.encode_seconds += time.perf_counter() - encode_start
-            result = query.check(
-                assumptions=[selector], max_conflicts=options.max_conflicts
-            )
-            stats.sat_queries += 1
-            if result.sat:
-                sat_index = i
-                sat_selector = selector
-                break
-            if not result.core_lits:
-                # The initial-state constraints alone are unsatisfiable:
-                # no pair can ever diverge, skip the remaining queries.
-                break
 
     if query is not None:
         stats.sat_vars = query.cnf.num_vars
@@ -922,7 +808,7 @@ def check_determinism(
         # e1 ≡ e2" step is incomplete for error-masking resources.
         # Re-check without elimination (sound and complete, slower).
         # dataclasses.replace carries every other option — including
-        # the solver backend fields — unchanged.
+        # the solver backend — unchanged.
         fallback = replace(options, use_elimination=False)
         retry = check_determinism(graph, programs, fallback)
         retry.stats.elimination_fallback = True
@@ -930,6 +816,7 @@ def check_determinism(
         return retry
     # Localize only once the verdict is final (the elimination
     # fallback above would discard this work and redo the analysis).
+    base_state, base_order = finals[0]
     race = localize_race(
         bank,
         domains,
@@ -965,87 +852,6 @@ def check_determinism(
     if inc is not None:
         inc.record_root(nondet)
     return nondet
-
-
-#: Pool cube mode needs coarse grain to pay for itself: below this
-#: many resources (post-elimination) the per-cube re-exploration of
-#: memo-shared subtrees costs more than the overlap buys, so cube mode
-#: uses the eager in-process scheduler instead.  Every §6 corpus
-#: manifest sits below this threshold.
-CUBE_POOL_GRAIN = 16
-
-
-def _backend_factory(options: DeterminismOptions):
-    """The ``backend=`` factory for this run's queries, or None for
-    the plain reference solver (zero indirection on the default
-    path)."""
-    if options.solver == "cdcl" and options.portfolio <= 1:
-        return None
-    return parse_backend_spec(
-        options.solver,
-        workers=options.solver_workers,
-        portfolio=options.portfolio,
-    )
-
-
-def _conquer_cubes(
-    explorer: _Explorer,
-    init: SymbolicState,
-    root: frozenset,
-    choices: Sequence[NodeId],
-    options: DeterminismOptions,
-) -> None:
-    """Cube-and-conquer exploration: one cube per root frontier
-    choice, each conquered by its own sub-explorer across
-    ``options.solver_workers`` workers (:func:`repro.sat.cube.schedule`
-    — results merged by cube index, so the outcome is independent of
-    scheduling).  Merged finals land on ``explorer`` deduplicated by
-    fingerprint in cube order, which reproduces the sequential DFS
-    finals order; effort counters are summed (cross-cube memo sharing
-    is lost, so ``branches_explored`` exceeds the sequential count —
-    the classic cube-and-conquer overlap tax)."""
-    from repro.sat.cube import schedule, split_frontier
-
-    bank = explorer.bank
-
-    def run_cube(cube):
-        sub = _Explorer(
-            explorer.graph,
-            explorer.programs,
-            bank,
-            options,
-            explorer.deadline,
-            template=explorer,
-        )
-        tick = time.perf_counter()
-        state = apply_expr(bank, init, explorer.programs[cube.choice])
-        sub.explore_seconds += time.perf_counter() - tick
-        sub.branches += 1
-        sub.run(
-            state,
-            remaining=root - {cube.choice},
-            prefix=(cube.choice,),
-        )
-        return sub
-
-    subs = schedule(
-        split_frontier(choices), run_cube, workers=options.solver_workers
-    )
-    seen = set()
-    merged: List[Tuple[SymbolicState, List[NodeId]]] = []
-    for sub in subs:
-        explorer.branches += sub.branches
-        explorer.memo_hits += sub.memo_hits
-        explorer.states_merged += sub.states_merged
-        explorer.explore_seconds += sub.explore_seconds
-        for state, order in sub.finals:
-            fingerprint = state.fingerprint()
-            if fingerprint in seen:
-                explorer.memo_hits += 1
-                continue
-            seen.add(fingerprint)
-            merged.append((state, order))
-    explorer.finals = merged
 
 
 def _unordered_pairs_commute(graph: DiGraph, matrix) -> bool:

@@ -16,12 +16,15 @@ setup:
   stand in for the non-deterministic six, per §5).
 * **Fig. 13** — determinacy-analysis time against n unordered,
   mutually conflicting file writes: the commutativity check is useless
-  by construction, so the order space is the full n!.  The
-  reachable-state memoization collapses the walk to the subset/state
-  lattice (n + n(n-1)·2^(n-2) edges — see
-  ``fig13_exploration_rows``), so the curve is exponential rather
-  than factorial; the paper's factorial blow-up is still reproducible
-  with ``DeterminismOptions(use_memoization=False)``.
+  by construction, so the order space is the full n!.  The first two
+  finals already diverge, so eager first-divergence racing stops
+  there.  The deterministic variant (a final writer after all n) must
+  walk everything; the reachable-state memoization collapses that
+  walk to the subset/state lattice (n + n(n-1)·2^(n-2) edges plus n
+  into the final writer — see ``fig13_exploration_rows``), so the
+  curve is exponential rather than factorial; the paper's factorial
+  blow-up is still reproducible with
+  ``DeterminismOptions(use_memoization=False)``.
 
 Absolute numbers differ from the paper (different machine, a pure
 Python CDCL solver instead of Z3); the *shapes* are the reproduction
@@ -200,6 +203,18 @@ def synthetic_conflict_graph(n: int):
     return graph, programs
 
 
+def synthetic_deterministic_graph(n: int):
+    """The paper's deterministic Fig. 13 variant: a final writer
+    ordered after all n conflicting writers funnels every interleaving
+    into one final state, so exploration has no early exit."""
+    graph, programs = synthetic_conflict_graph(n)
+    programs["final"] = conflicting_write("/shared", "x")
+    graph.add_node("final")
+    for i in range(n):
+        graph.add_edge(f"w{i}", "final")
+    return graph, programs
+
+
 def fig13_rows(
     ns: Sequence[int] = (2, 3, 4, 5, 6),
     timeout: float = DEFAULT_TIMEOUT,
@@ -226,10 +241,12 @@ def fig13_lattice_bound(n: int) -> int:
     """Edge count of the Fig. 13 subset/state lattice.
 
     A reachable exploration state on the n-conflicting-writers
-    workload is a (subset applied, last writer) pair, so the memoized
-    walk has exactly n + n(n-1)·2^(n-2) transitions — versus
-    sum_k n!/(n-k)! branches for the order tree.  The single source of
-    truth for every structural memoization guard (bench asserts,
+    workload is a (subset applied, last writer) pair, so a full
+    memoized walk has exactly n + n(n-1)·2^(n-2) transitions — versus
+    sum_k n!/(n-k)! branches for the order tree.  The deterministic
+    variant (:func:`synthetic_deterministic_graph`) walks n more, one
+    per last writer into the final one.  The single source of truth
+    for every structural memoization guard (bench asserts,
     ``tools/check_branch_budget.py``, unit tests).
     """
     if n < 2:
@@ -243,19 +260,22 @@ def fig13_exploration_rows(
     max_branches: int = 500_000,
 ) -> List[Tuple[int, int, int, int, float]]:
     """(n, branches, memo hits, distinct finals, seconds) for the
-    Fig. 13 workload — the reachable-state-DAG exploration profile.
+    deterministic Fig. 13 variant — the reachable-state-DAG
+    exploration profile.  (The non-deterministic workload stops at its
+    first diverging final, so it no longer profiles the lattice.)
 
     The order tree over n unordered conflicting writers has
     sum_k n!/(n-k)! branches; the subset/state lattice the memoized
     exploration walks has only n + n(n-1)·2^(n-2) edges (a state is a
-    (subset applied, last writer) pair).  Sub-factorial branch
-    growth with nonzero memo hits is the structural signature the
-    bench-regression job guards (wall clock alone would also pass on a
-    faster machine with broken memoization).
+    (subset applied, last writer) pair), plus n into the final writer.
+    Sub-factorial branch growth with nonzero memo hits is the
+    structural signature the bench-regression job guards (wall clock
+    alone would also pass on a faster machine with broken
+    memoization).
     """
     rows: List[Tuple[int, int, int, int, float]] = []
     for n in ns:
-        graph, programs = synthetic_conflict_graph(n)
+        graph, programs = synthetic_deterministic_graph(n)
         options = DeterminismOptions(
             timeout_seconds=timeout, max_branches=max_branches
         )
@@ -290,11 +310,7 @@ def fig13_deterministic_rows(
     a full unsatisfiability proof instead of an early model."""
     rows = []
     for n in ns:
-        graph, programs = synthetic_conflict_graph(n)
-        programs["final"] = conflicting_write("/shared", "x")
-        graph.add_node("final")
-        for i in range(n):
-            graph.add_edge(f"w{i}", "final")
+        graph, programs = synthetic_deterministic_graph(n)
         options = DeterminismOptions(
             timeout_seconds=timeout, max_branches=max_branches
         )
@@ -334,47 +350,6 @@ def corpus_determinism_rows(
         total += elapsed
         rows.append((name, elapsed))
     rows.append(("TOTAL", total))
-    return rows
-
-
-# -- parallel solving (beyond the paper: the repro.sat backend figure) --------
-
-
-def portfolio_speedup_rows(
-    names: Sequence[str],
-    workers: int = 4,
-    repeats: int = 9,
-) -> List[Tuple[str, float, float, str]]:
-    """(benchmark, sequential s, parallel s, speedup) comparing the
-    classic sequential determinacy check against the cube-and-conquer
-    path (``DeterminismOptions(solver_workers=N)`` — see
-    docs/solver.md).
-
-    Times the determinacy analysis alone (compile excluded — the
-    backend layer only touches exploration + solving) and takes the
-    best of ``repeats`` runs per configuration, the standard guard
-    against scheduler noise on loaded CI machines.  The parallel win
-    on non-deterministic manifests comes from the eager
-    first-divergence short-circuit: exploration stops at the first
-    SAT divergence instead of enumerating every final state.
-    """
-    rows: List[Tuple[str, float, float, str]] = []
-    parallel_options = DeterminismOptions(solver_workers=workers)
-    for name in names:
-        graph, programs = _compile(name)
-        seq_best = float("inf")
-        par_best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            seq_result = check_determinism(graph, programs, DeterminismOptions())
-            seq_best = min(seq_best, time.perf_counter() - start)
-            start = time.perf_counter()
-            par_result = check_determinism(graph, programs, parallel_options)
-            par_best = min(par_best, time.perf_counter() - start)
-        assert seq_result.deterministic == par_result.deterministic, name
-        rows.append(
-            (name, seq_best, par_best, f"{seq_best / par_best:.2f}x")
-        )
     return rows
 
 

@@ -53,14 +53,12 @@ manifest produced a verdict, and with ``--strict`` every verdict is
 positive); 1 — a negative or missing verdict (batch: some manifest
 errored, a verdict failed under ``--strict``, or the final ``--json``
 write failed); 2 — bad invocation (unreadable manifest, no manifests
-found, invalid ``--workers``/``--portfolio``/``--solver-workers``, a
-bad or unresolvable ``--solver`` spec, ``--json`` pointing at a
-directory or into a missing one).
+found, invalid ``--workers``, a bad or unresolvable ``--solver``
+spec, ``--json`` pointing at a directory or into a missing one).
 
-Parallel solving (see docs/solver.md): ``--portfolio K`` races K
-solver configurations per query, ``--solver-workers N`` turns on
-cube-and-conquer exploration, and ``--solver external:auto`` shells
-out to a SAT-competition binary found on PATH.
+Solver backends (see docs/solver.md): ``--solver external:auto``
+shells out to a SAT-competition binary found on PATH instead of the
+pure-Python CDCL reference.
 """
 
 from __future__ import annotations
@@ -130,28 +128,9 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
         "--solver",
         default="cdcl",
         metavar="SPEC",
-        help="SAT backend: 'cdcl' (pure-Python reference, default), "
-        "'portfolio[:K]' (race K solver configurations per query), or "
+        help="SAT backend: 'cdcl' (pure-Python reference, default) or "
         "'external:auto|<name-or-path>' (a SAT-competition binary on "
         "PATH — kissat, cadical, minisat)",
-    )
-    parser.add_argument(
-        "--portfolio",
-        type=int,
-        default=1,
-        metavar="K",
-        help="race K diversified CDCL configurations on every SAT "
-        "query, first answer (by deterministic tie-breaking) wins "
-        "(default: 1, no racing)",
-    )
-    parser.add_argument(
-        "--solver-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel solve width: cube-and-conquer exploration of "
-        "the reachable-state DAG plus the process pool for portfolio "
-        "helpers (default: 1, sequential)",
     )
     parser.add_argument(
         "--incremental",
@@ -171,18 +150,10 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _validate_solver_flags(args: argparse.Namespace) -> Optional[str]:
-    """Validate --solver/--portfolio/--solver-workers before any pool
-    or backend is constructed; returns an error message or None."""
-    if args.portfolio < 1:
-        return "--portfolio must be >= 1"
-    if args.solver_workers < 1:
-        return "--solver-workers must be >= 1"
+    """Validate --solver before any pool or backend is constructed;
+    returns an error message or None."""
     try:
-        parse_backend_spec(
-            args.solver,
-            workers=args.solver_workers,
-            portfolio=args.portfolio,
-        )
+        parse_backend_spec(args.solver)
     except ValueError as exc:
         return f"--solver: {exc}"
     return None
@@ -203,8 +174,6 @@ def _options_from_args(args: argparse.Namespace) -> DeterminismOptions:
         timeout_seconds=args.timeout,
         lint_prefilter=args.lint_prefilter,
         solver=args.solver,
-        portfolio=args.portfolio,
-        solver_workers=args.solver_workers,
         **extra,
     )
 
@@ -917,16 +886,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         "disagreement; races lint misses are counted, not failures",
     )
     parser.add_argument(
-        "--portfolio",
-        type=int,
-        default=1,
-        metavar="K",
-        help="verify every generated case with a K-member solver "
-        "portfolio instead of the sequential backend, keeping the "
-        "differential oracle honest against the parallel path "
-        "(default: 1)",
-    )
-    parser.add_argument(
         "--incremental",
         action="store_true",
         help="verify every generated case with the persistent "
@@ -986,9 +945,6 @@ def run_fuzz(argv) -> int:
     if args.cases is not None and args.cases < 1:
         print("error: --cases must be >= 1", file=sys.stderr)
         return 2
-    if args.portfolio < 1:
-        print("error: --portfolio must be >= 1", file=sys.stderr)
-        return 2
     budget = args.budget
     if budget is None:
         # An explicit --cases must never be truncated by the default
@@ -1039,12 +995,8 @@ def run_fuzz(argv) -> int:
         shrink=args.shrink,
         generator_config=config,
         options=(
-            DeterminismOptions(
-                portfolio=args.portfolio,
-                incremental=args.incremental
-                or DeterminismOptions().incremental,
-            )
-            if args.portfolio > 1 or args.incremental
+            DeterminismOptions(incremental=True)
+            if args.incremental
             else None
         ),
         progress=progress,

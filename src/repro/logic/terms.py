@@ -59,11 +59,9 @@ class TermBank:
     cancels.
 
     Construction is thread-safe: interning serializes on a lock, so
-    concurrent builders (the cube sub-explorers of
-    :mod:`repro.analysis.determinism` share one bank across a thread
-    pool) can never mint two nodes for one structural key or reuse a
-    uid.  Everything else is reads of immutable nodes and needs no
-    locking.
+    concurrent builders sharing one bank can never mint two nodes for
+    one structural key or reuse a uid.  Everything else is reads of
+    immutable nodes and needs no locking.
     """
 
     def __init__(self) -> None:

@@ -1,37 +1,27 @@
 """SAT solving substrate: CDCL solver, DIMACS I/O, brute-force oracle,
-and the pluggable backend layer (portfolio racing, cube-and-conquer
-scheduling, external SAT-competition solvers — see docs/solver.md)."""
+and the pluggable backend layer (the reference CDCL solver or an
+external SAT-competition solver — see docs/solver.md)."""
 
 # Lazy (PEP 562), like repro itself: every SAT query imports
 # repro.sat.solver through this package and must not load the
-# portfolio, cube and external-solver layers it does not run.
+# external-solver layer it does not run.
 
 from importlib import import_module
 
 #: name -> defining module (parsed by the testmap import scanner).
 _LAZY_EXPORTS = {
-    "Cube": "repro.sat.cube",
-    "DEFAULT_CONFIG": "repro.sat.backend",
     "ExternalBackend": "repro.sat.external",
-    "PortfolioBackend": "repro.sat.portfolio",
     "SolveResult": "repro.sat.solver",
     "Solver": "repro.sat.solver",
     "SolverBackend": "repro.sat.backend",
-    "SolverConfig": "repro.sat.backend",
-    "backend_label": "repro.sat.backend",
     "brute_force_solve": "repro.sat.brute",
     "check_assignment": "repro.sat.brute",
     "count_models": "repro.sat.brute",
-    "default_portfolio": "repro.sat.backend",
     "dimacs_to_string": "repro.sat.dimacs",
     "find_external_solver": "repro.sat.external",
-    "make_solver": "repro.sat.backend",
-    "merge_stats": "repro.sat.cube",
     "parse_backend_spec": "repro.sat.backend",
     "read_dimacs": "repro.sat.dimacs",
-    "schedule": "repro.sat.cube",
     "solve_cnf": "repro.sat.solver",
-    "split_frontier": "repro.sat.cube",
     "write_dimacs": "repro.sat.dimacs",
 }
 

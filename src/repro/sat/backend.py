@@ -10,16 +10,13 @@ makes the solver swappable:
 * the default backend is the pure-Python CDCL loop
   (:class:`repro.sat.solver.Solver`), always available, always the
   reference semantics;
-* :class:`repro.sat.portfolio.PortfolioBackend` races several
-  :class:`SolverConfig` variations with deterministic first-answer-wins
-  tie-breaking;
 * :class:`repro.sat.external.ExternalBackend` shells out to a
   SAT-competition solver (kissat/cadical/minisat) found on PATH via
   the DIMACS writer.
 
 A backend choice is spelled as a **spec string** (what the CLI's
-``--solver`` flag takes): ``"cdcl"``, ``"portfolio"`` /
-``"portfolio:K"``, or ``"external:auto"`` / ``"external:<name-or-path>"``.
+``--solver`` flag takes): ``"cdcl"``, or ``"external:auto"`` /
+``"external:<name-or-path>"``.
 :func:`parse_backend_spec` turns a spec into a zero-argument factory,
 so the spec itself stays a plain string — picklable, hashable into the
 verdict-cache key, and storable in :class:`DeterminismOptions`.
@@ -27,15 +24,7 @@ verdict-cache key, and storable in :class:`DeterminismOptions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence
 
 try:  # Protocol is 3.8+; keep a runtime-checkable structural type.
     from typing import Protocol, runtime_checkable
@@ -46,15 +35,15 @@ except ImportError:  # pragma: no cover - ancient interpreters only
         return cls
 
 
-from repro.sat.solver import SolveResult
+from repro.sat.solver import SolveResult, Solver
 
 
 @runtime_checkable
 class SolverBackend(Protocol):
     """What the query layer needs from a solver.
 
-    :class:`repro.sat.solver.Solver` satisfies this natively; other
-    backends (portfolio, external) implement the same surface.  The
+    :class:`repro.sat.solver.Solver` satisfies this natively; the
+    external backend implements the same surface.  The
     contract mirrors MiniSat's incremental interface:
 
     * the clause database persists across :meth:`solve` calls;
@@ -89,193 +78,25 @@ class SolverBackend(Protocol):
 BackendFactory = Callable[[], SolverBackend]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """One point in the CDCL configuration space.
-
-    The default instance reproduces the historical solver behavior
-    bit for bit (Luby restarts with unit 64, activity ties broken by
-    variable index, saved phases defaulting to False, EVSIDS decay
-    0.95) — the reference member of every portfolio.  Frozen so
-    configs can be dict keys, compared, and pickled to pool workers.
-    """
-
-    name: str = "default"
-    #: ``"luby"`` or ``"geometric"``.
-    restart_policy: str = "luby"
-    #: Conflicts per restart unit (Luby multiplier / geometric base).
-    restart_unit: int = 64
-    #: Growth factor of the geometric policy (ignored under Luby).
-    restart_growth: float = 1.5
-    #: Branching seed.  0 means none: activities start at exactly 0.0
-    #: and ties break by variable index, as always.  A nonzero seed
-    #: adds a tiny deterministic per-variable jitter to the initial
-    #: activity, diversifying which variable wins early ties.
-    seed: int = 0
-    #: Initial saved phase of every variable.
-    phase_default: bool = False
-    #: EVSIDS activity decay.
-    decay: float = 0.95
-    #: Preprocessing gate for *stateless portfolio attempts*: True
-    #: runs the SatELite passes on the clause snapshot before the
-    #: attempt, False skips them, None inherits the caller's choice.
-    #: (The incremental reference member never re-preprocesses — the
-    #: query layer already did.)
-    preprocess: Optional[bool] = None
-
-    def __post_init__(self):
-        if self.restart_policy not in ("luby", "geometric"):
-            raise ValueError(
-                f"unknown restart policy {self.restart_policy!r} "
-                "(expected 'luby' or 'geometric')"
-            )
-        if self.restart_unit < 1:
-            raise ValueError("restart_unit must be >= 1")
-        if not (0.0 < self.decay < 1.0):
-            raise ValueError("decay must be in (0, 1)")
-
-
-#: The reference configuration (index 0 of every portfolio).
-DEFAULT_CONFIG = SolverConfig()
-
-#: The built-in diversification ladder.  Index 0 is always the
-#: reference config; later members vary restart policy, phase
-#: polarity, branching seed and preprocessing — the classic portfolio
-#: axes.  ``default_portfolio(k)`` takes the first k.
-_PORTFOLIO_LADDER: Tuple[SolverConfig, ...] = (
-    DEFAULT_CONFIG,
-    SolverConfig(
-        name="agile",
-        restart_policy="geometric",
-        restart_unit=32,
-        restart_growth=1.3,
-        phase_default=True,
-        seed=1,
-    ),
-    SolverConfig(
-        name="jitter",
-        seed=2,
-        decay=0.92,
-    ),
-    SolverConfig(
-        name="heavy",
-        restart_policy="geometric",
-        restart_unit=256,
-        restart_growth=2.0,
-        seed=3,
-        preprocess=True,
-    ),
-    SolverConfig(
-        name="polar",
-        phase_default=True,
-        seed=4,
-        restart_unit=128,
-    ),
-    SolverConfig(
-        name="focused",
-        restart_policy="geometric",
-        restart_unit=16,
-        restart_growth=1.1,
-        seed=5,
-        decay=0.90,
-    ),
-)
-
-
-def default_portfolio(k: int) -> Tuple[SolverConfig, ...]:
-    """The first ``k`` members of the built-in diversification ladder
-    (member 0 is always the reference :data:`DEFAULT_CONFIG`).  Beyond
-    the ladder, extra members are seed variations of the reference."""
-    if k < 1:
-        raise ValueError(f"portfolio size must be >= 1, got {k}")
-    members = list(_PORTFOLIO_LADDER[:k])
-    index = len(members)
-    while len(members) < k:
-        members.append(
-            replace(
-                DEFAULT_CONFIG,
-                name=f"seed{index}",
-                seed=10 + index,
-            )
-        )
-        index += 1
-    return tuple(members)
-
-
-def make_solver(config: Optional[SolverConfig] = None) -> "SolverBackend":
-    """A fresh CDCL solver under ``config`` (default: the reference)."""
-    from repro.sat.solver import Solver
-
-    return Solver(config=config)
-
-
-#: K for a bare ``"portfolio"`` spec when no explicit size was given.
-DEFAULT_PORTFOLIO_K = 4
-
-
-def _effective_portfolio_k(portfolio: Optional[int]) -> int:
-    """The K a bare ``"portfolio"`` spec resolves to.  A ``portfolio``
-    argument of None *or 1* means unset — 1 is the CLI's no-racing
-    default, and an explicit portfolio spec with no racing is spelled
-    ``portfolio:1``.  :func:`parse_backend_spec` and
-    :func:`backend_label` share this rule so the label always names
-    the portfolio that actually runs."""
-    if portfolio is not None and portfolio > 1:
-        return portfolio
-    return DEFAULT_PORTFOLIO_K
-
-
-def parse_backend_spec(
-    spec: str,
-    workers: int = 1,
-    portfolio: Optional[int] = None,
-) -> BackendFactory:
+def parse_backend_spec(spec: str) -> BackendFactory:
     """Turn a ``--solver`` spec string into a backend factory.
 
     Accepted specs:
 
-    * ``"cdcl"`` — the pure-Python CDCL reference solver (with
-      ``portfolio`` > 1, a :class:`PortfolioBackend` racing that many
-      configurations);
-    * ``"portfolio"`` or ``"portfolio:K"`` — explicit portfolio racing
-      (K defaults to 4, or to the ``portfolio`` argument when that
-      asks for racing, i.e. is > 1; ``portfolio:1`` spells a
-      single-member portfolio explicitly);
+    * ``"cdcl"`` — the pure-Python CDCL reference solver;
     * ``"external:auto"`` — the first SAT-competition solver found on
       PATH (kissat, cadical, minisat), raising ``ValueError`` when
       none is installed;
     * ``"external:<name-or-path>"`` — a specific external solver.
 
-    ``workers`` is the process-pool width for portfolio helper
-    attempts (1 = in-process).  Raises ``ValueError`` on a malformed
-    spec, so CLI validation can exit 2 with the message.
+    Raises ``ValueError`` on a malformed spec, so CLI validation can
+    exit 2 with the message.
     """
-    if workers < 1:
-        raise ValueError(f"solver workers must be >= 1, got {workers}")
-    if portfolio is not None and portfolio < 1:
-        raise ValueError(f"portfolio size must be >= 1, got {portfolio}")
     head, _, arg = spec.partition(":")
     if head == "cdcl":
         if arg:
             raise ValueError(f"'cdcl' takes no argument (got {spec!r})")
-        k = portfolio or 1
-        if k > 1:
-            return _portfolio_factory(k, workers)
-        return make_solver
-    if head == "portfolio":
-        if arg:
-            try:
-                k = int(arg)
-            except ValueError:
-                raise ValueError(
-                    f"bad portfolio size in {spec!r} (expected "
-                    "'portfolio:K' with integer K)"
-                ) from None
-        else:
-            k = _effective_portfolio_k(portfolio)
-        if k < 1:
-            raise ValueError(f"portfolio size must be >= 1, got {k}")
-        return _portfolio_factory(k, workers)
+        return Solver
     if head == "external":
         from repro.sat.external import ExternalBackend, find_external_solver
 
@@ -293,37 +114,9 @@ def parse_backend_spec(
                 raise ValueError(f"external solver not found: {arg!r}")
         return lambda: ExternalBackend(path)
     raise ValueError(
-        f"unknown solver spec {spec!r} (expected 'cdcl', "
-        "'portfolio[:K]' or 'external:auto|<name-or-path>')"
+        f"unknown solver spec {spec!r} (expected 'cdcl' or "
+        "'external:auto|<name-or-path>')"
     )
-
-
-def _portfolio_factory(k: int, workers: int) -> BackendFactory:
-    from repro.sat.portfolio import PortfolioBackend
-
-    configs = default_portfolio(k)
-    return lambda: PortfolioBackend(configs, workers=workers)
-
-
-def backend_label(
-    solver: str = "cdcl",
-    portfolio: int = 1,
-    solver_workers: int = 1,
-) -> str:
-    """The human/JSON-facing name of a backend choice — what the
-    ``verify-batch`` row's ``solver_backend`` field and the bench
-    figures report.  Examples: ``"cdcl"``, ``"portfolio:4"``,
-    ``"portfolio:2+cube:4"``, ``"external:kissat"``."""
-    head, _, arg = solver.partition(":")
-    if head == "portfolio" and not arg:
-        label = f"portfolio:{_effective_portfolio_k(portfolio)}"
-    elif head == "cdcl" and portfolio > 1:
-        label = f"portfolio:{portfolio}"
-    else:
-        label = solver
-    if solver_workers > 1:
-        label += f"+cube:{solver_workers}"
-    return label
 
 
 def solver_counters(backend: SolverBackend) -> Dict[str, int]:

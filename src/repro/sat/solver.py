@@ -54,32 +54,16 @@ class SolveResult:
         return self.sat
 
 
+#: EVSIDS activity decay.
+VAR_DECAY = 0.95
+#: Conflicts per Luby restart unit.
+RESTART_UNIT = 64
+
+
 class Solver:
-    """CDCL solver over integer literals (DIMACS convention).
+    """CDCL solver over integer literals (DIMACS convention)."""
 
-    ``config`` (a :class:`repro.sat.backend.SolverConfig`, held by
-    duck-typed attribute access so this module stays import-cycle
-    free) selects the restart policy, branching seed, phase polarity
-    and activity decay.  ``config=None`` is byte-for-byte the
-    historical behavior — the reference configuration.
-    """
-
-    def __init__(self, num_vars: int = 0, config=None):
-        self.config = config
-        if config is not None:
-            self._var_decay = config.decay
-            self._seed = config.seed
-            self._phase_default = config.phase_default
-            self._restart_policy = config.restart_policy
-            self._restart_unit = config.restart_unit
-            self._restart_growth = config.restart_growth
-        else:
-            self._var_decay = 0.95
-            self._seed = 0
-            self._phase_default = False
-            self._restart_policy = "luby"
-            self._restart_unit = 64
-            self._restart_growth = 1.5
+    def __init__(self, num_vars: int = 0):
         self.num_vars = 0
         self._clauses: List[List[int]] = []
         self._learned: List[List[int]] = []
@@ -110,17 +94,8 @@ class Solver:
             self._assign.append(UNDEF)
             self._level.append(0)
             self._reason.append(None)
-            # With a nonzero branching seed, start each variable's
-            # activity at a tiny deterministic jitter instead of 0.0:
-            # too small to outweigh a single bump, but enough to
-            # shuffle which variable wins ties between equally-active
-            # candidates — the portfolio's branching diversification.
-            self._activity.append(
-                _activity_jitter(self._seed, self.num_vars)
-                if self._seed
-                else 0.0
-            )
-            self._phase.append(self._phase_default)
+            self._activity.append(0.0)
+            self._phase.append(False)
             self._occurs.append(False)
             self._watches[self.num_vars] = []
             self._watches[-self.num_vars] = []
@@ -333,7 +308,7 @@ class Solver:
             self._var_inc *= 1e-100
 
     def _decay(self) -> None:
-        self._var_inc /= self._var_decay
+        self._var_inc /= VAR_DECAY
 
     # -- backtracking ---------------------------------------------------------
 
@@ -399,13 +374,8 @@ class Solver:
             self._ok = False
             return self._result(False)
 
-        restart_unit = self._restart_unit
         luby_index = 1
-        geometric_interval = float(restart_unit)
-        if self._restart_policy == "geometric":
-            conflicts_until_restart = restart_unit
-        else:
-            conflicts_until_restart = restart_unit * _luby(luby_index)
+        conflicts_until_restart = RESTART_UNIT * _luby(luby_index)
         max_learned = max(1000, len(self._clauses) // 2)
         # The budget is per call: self.conflicts accumulates over the
         # solver's lifetime, so a reused instance must not charge this
@@ -455,12 +425,8 @@ class Solver:
 
             if conflicts_until_restart <= 0:
                 self.restarts += 1
-                if self._restart_policy == "geometric":
-                    geometric_interval *= self._restart_growth
-                    conflicts_until_restart = int(geometric_interval)
-                else:
-                    luby_index += 1
-                    conflicts_until_restart = restart_unit * _luby(luby_index)
+                luby_index += 1
+                conflicts_until_restart = RESTART_UNIT * _luby(luby_index)
                 self._backtrack(0)
                 continue
 
@@ -575,20 +541,6 @@ class Solver:
         if include_learned:
             clauses.extend(list(c) for c in self._learned)
         return clauses
-
-
-_JITTER_MASK = (1 << 64) - 1
-
-
-def _activity_jitter(seed: int, var: int) -> float:
-    """A deterministic pseudo-random initial activity in [0, 1e-4)
-    from (seed, var) — splitmix64-style integer mixing, so the jitter
-    is stable across processes and Python hash randomization."""
-    x = (seed * 0x9E3779B97F4A7C15 + var * 0xBF58476D1CE4E5B9) & _JITTER_MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _JITTER_MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _JITTER_MASK
-    x ^= x >> 31
-    return (x / float(_JITTER_MASK + 1)) * 1e-4
 
 
 def _luby(i: int) -> int:

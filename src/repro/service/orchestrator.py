@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro import __version__
 from repro.analysis.determinism import DeterminismOptions
-from repro.sat.backend import backend_label
 from repro.service.cache import VerdictCache, cache_key, source_digest
 from repro.service.schema import (
     BatchReport,
@@ -103,11 +102,7 @@ def _verify_one(job: _Job) -> dict:
         result = ManifestResult.from_report(
             report, sha256=job.sha256, cache_key=job.key
         )
-        result.solver_backend = backend_label(
-            solver=job.options.solver,
-            portfolio=job.options.portfolio,
-            solver_workers=job.options.solver_workers,
-        )
+        result.solver_backend = job.options.solver
         try:
             from repro.analysis.lint import LintOptions, lint_source
 
@@ -136,11 +131,7 @@ def _verify_one(job: _Job) -> dict:
             error=f"{_INTERNAL_FAILURE} {type(exc).__name__}: {exc}",
             sha256=job.sha256,
             cache_key=job.key,
-            solver_backend=backend_label(
-                solver=job.options.solver,
-                portfolio=job.options.portfolio,
-                solver_workers=job.options.solver_workers,
-            ),
+            solver_backend=job.options.solver,
         )
     return result.to_dict()
 

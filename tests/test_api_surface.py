@@ -71,3 +71,22 @@ def test_lazy_subpackage_exports_resolve(package):
         assert getattr(module, name) is getattr(
             importlib.import_module(target), name
         ), name
+
+
+def test_retired_solver_knobs_are_gone():
+    """The portfolio, cube and solver-configuration surface was
+    removed outright (no workload measured a win); importing it must
+    fail loudly rather than resolve to a stale shim."""
+    import dataclasses
+
+    import repro.sat
+    from repro.analysis.determinism import DeterminismOptions
+
+    for name in ("PortfolioBackend", "SolverConfig"):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+    for name in ("DEFAULT_CONFIG", "backend_label", "default_portfolio"):
+        with pytest.raises(AttributeError):
+            getattr(repro.sat, name)
+    fields = {f.name for f in dataclasses.fields(DeterminismOptions)}
+    assert not fields & {"portfolio", "solver_workers"}

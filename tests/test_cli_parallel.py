@@ -1,6 +1,6 @@
-"""The parallel-solving CLI surface: flag validation (exit 2 before
-any work), end-to-end runs under the portfolio and cube backends, and
-the JSON row's backend label."""
+"""The solver-backend CLI surface: ``--solver`` validation (exit 2
+before any work, including for the retired portfolio specs) and the
+JSON row's backend label."""
 
 import json
 
@@ -29,10 +29,10 @@ class TestFlagValidation:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--portfolio", "0"),
-            ("--portfolio", "-3"),
-            ("--solver-workers", "0"),
-            ("--solver-workers", "-1"),
+            ("--solver", "portfolio"),
+            ("--solver", "portfolio:2"),
+            ("--solver", "cdcl:2"),
+            ("--solver", "external:/no/such/solver"),
             ("--solver", "dpll"),
             ("--solver", "portfolio:nope"),
         ],
@@ -45,8 +45,8 @@ class TestFlagValidation:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--portfolio", "0"),
-            ("--solver-workers", "0"),
+            ("--solver", "portfolio:4"),
+            ("--solver", "cdcl:2"),
             ("--solver", "dpll"),
         ],
     )
@@ -54,13 +54,6 @@ class TestFlagValidation:
         (tmp_path / "good.pp").write_text(GOOD)
         code = cli_main(
             ["verify-batch", str(tmp_path), "--no-cache", *flags]
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_fuzz_rejects_bad_portfolio(self, capsys):
-        code = cli_main(
-            ["fuzz", "--seed", "1", "--cases", "1", "--portfolio", "0"]
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -77,29 +70,6 @@ class TestFlagValidation:
 
 
 class TestEndToEnd:
-    def test_verify_portfolio_matches_sequential_verdict(
-        self, manifest, capsys
-    ):
-        sequential = cli_main(["verify", str(manifest)])
-        out_seq = capsys.readouterr().out
-        raced = cli_main(
-            [
-                "verify",
-                str(manifest),
-                "--portfolio",
-                "2",
-                "--solver-workers",
-                "2",
-            ]
-        )
-        out_par = capsys.readouterr().out
-        assert raced == sequential == 1
-        assert ("NON-DETERMINISTIC" in out_seq) == (
-            "NON-DETERMINISTIC" in out_par
-        )
-        assert "Race localized" in out_seq
-        assert "Race localized" in out_par
-
     def test_batch_json_rows_name_the_backend(self, tmp_path, capsys):
         (tmp_path / "good.pp").write_text(GOOD)
         report_path = tmp_path / "report.json"
@@ -108,8 +78,6 @@ class TestEndToEnd:
                 "verify-batch",
                 str(tmp_path / "good.pp"),
                 "--no-cache",
-                "--portfolio",
-                "2",
                 "--json",
                 str(report_path),
             ]
@@ -118,20 +86,4 @@ class TestEndToEnd:
         report = json.loads(report_path.read_text())
         assert report["schema_version"] == 5
         (row,) = report["results"]
-        assert row["solver_backend"] == "portfolio:2"
-
-    def test_fuzz_portfolio_smoke(self, capsys):
-        code = cli_main(
-            [
-                "fuzz",
-                "--seed",
-                "7",
-                "--cases",
-                "5",
-                "--quiet",
-                "--portfolio",
-                "2",
-            ]
-        )
-        assert code == 0
-        assert "no disagreements" in capsys.readouterr().out
+        assert row["solver_backend"] == "cdcl"

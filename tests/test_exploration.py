@@ -23,6 +23,7 @@ from repro.bench.harness import (
     conflicting_write,
     fig13_lattice_bound,
     synthetic_conflict_graph,
+    synthetic_deterministic_graph,
 )
 from repro.core.pipeline import Rehearsal
 from repro.corpus import load_source
@@ -106,32 +107,52 @@ class TestFingerprints:
         assert state.fingerprint() != after.fingerprint()
 
 
+def assert_stops_at_first_divergence(result, programs):
+    """Eager racing on the non-deterministic Fig. 13 graph: the second
+    final the walk reaches already diverges from the first, so
+    exploration stops with exactly two distinct finals."""
+    assert not result.deterministic
+    assert result.stats.distinct_finals == 2
+    assert result.stats.sat_queries == 1
+    assert_witness_diverges(result, programs)
+
+
 class TestMemoizedExploration:
     def test_fig13_collapses_to_state_lattice(self):
-        """n unordered conflicting writers: states are (subset, last
-        writer) pairs, so branches stay on the subset/state lattice —
-        far under the sum_k n!/(n-k)! order tree — and finals dedup
-        to one per last writer."""
-        g, p = synthetic_conflict_graph(4)
+        """n unordered conflicting writers then one final writer:
+        states are (subset, last writer) pairs, so branches stay on
+        the subset/state lattice — far under the sum_k n!/(n-k)!
+        order tree — and every interleaving funnels into one final."""
+        g, p = synthetic_deterministic_graph(4)
         result = check_determinism(g, p)
         stats = result.stats
-        assert not result.deterministic
-        assert stats.branches_explored <= fig13_lattice_bound(4)  # 52
+        assert result.deterministic
+        assert stats.branches_explored == fig13_lattice_bound(4) + 4  # 56
         assert stats.memo_hits > 0
         assert stats.states_merged > 0
-        assert stats.distinct_finals == 4
-        assert_witness_diverges(result, p)
+        assert stats.distinct_finals == 1
+        g, p = synthetic_conflict_graph(4)
+        assert_stops_at_first_divergence(check_determinism(g, p), p)
 
     def test_dedup_never_drops_the_diverging_final(self):
         """Deduplication by fingerprint can only merge symbolically
         identical states, so a genuinely diverging final always
-        survives to the SAT loop with a witness order attached."""
-        g, p = synthetic_conflict_graph(3)
+        survives to the SAT loop with a witness order attached — even
+        when the walk merges interleavings before reaching it."""
+        g, p = synthetic_deterministic_graph(3)
+        p = dict(p)
+        # An unordered late writer: its own subtree funnels into one
+        # final (memo hits), and the divergence only shows once
+        # another resource is scheduled first.
+        p["late"] = conflicting_write("/shared", "late")
+        g.add_node("late")
         result = check_determinism(g, p)
         assert not result.deterministic
-        assert result.stats.distinct_finals == 3
+        assert result.stats.distinct_finals == 2
         assert result.stats.memo_hits > 0
         assert_witness_diverges(result, p)
+        g, p = synthetic_conflict_graph(3)
+        assert_stops_at_first_divergence(check_determinism(g, p), p)
 
     def test_identical_writers_merge_without_any_sat_query(self):
         """Two writers of the *same* content semantically commute but
@@ -154,12 +175,7 @@ class TestMemoizedExploration:
         after all n): previously a full UNSAT proof over n! finals,
         now every interleaving funnels into the final writer's state
         and dedup leaves a single final."""
-        g, p = synthetic_conflict_graph(3)
-        p = dict(p)
-        p["final"] = conflicting_write("/shared", "x")
-        g.add_node("final")
-        for i in range(3):
-            g.add_edge(f"w{i}", "final")
+        g, p = synthetic_deterministic_graph(3)
         result = check_determinism(
             g, p, DeterminismOptions(max_branches=500_000)
         )
@@ -184,7 +200,7 @@ class TestMemoizedExploration:
         assert_witness_diverges(result, programs)
 
     def test_budget_exception_carries_memo_stats(self):
-        g, p = synthetic_conflict_graph(6)
+        g, p = synthetic_deterministic_graph(6)
         options = DeterminismOptions(
             max_branches=100,
             use_pruning=False,
@@ -194,21 +210,24 @@ class TestMemoizedExploration:
             check_determinism(g, p, options)
         exc = info.value
         assert exc.branches > 100
-        assert exc.memo_hits >= 0
-        assert exc.states_merged >= 0
+        assert exc.memo_hits > 0
+        assert exc.states_merged > 0
         assert "memo hits" in str(exc)
 
     def test_naive_mode_explores_the_order_tree(self):
         """use_memoization=False restores the order-tree walk: one
         final per linearization, no merges."""
-        g, p = synthetic_conflict_graph(4)
+        g, p = synthetic_deterministic_graph(4)
         result = check_determinism(g, p, NAIVE)
         stats = result.stats
-        assert not result.deterministic
-        # sum_k 4!/(4-k)! = 4 + 12 + 24 + 24
-        assert stats.branches_explored == 64
+        assert result.deterministic
+        # sum_k 4!/(4-k)! = 4 + 12 + 24 + 24, then "final" once per
+        # linearization of the writers.
+        assert stats.branches_explored == 64 + 24
         assert stats.memo_hits == 0
         assert stats.distinct_finals == 24
+        g, p = synthetic_conflict_graph(4)
+        assert_stops_at_first_divergence(check_determinism(g, p, NAIVE), p)
 
 
 def random_manifest(rng):

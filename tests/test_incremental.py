@@ -14,6 +14,8 @@ import sys
 import pytest
 
 from repro import DeterminismOptions, Rehearsal
+from repro.analysis import determinism as det_mod
+from repro.bench.harness import conflicting_write, synthetic_conflict_graph
 from repro.corpus import BENCHMARK_NAMES, FIXED_VARIANTS, load_source
 from repro.logic.terms import TermBank, structural_digest
 from repro.service.incremental import (
@@ -246,6 +248,84 @@ class TestCorpusParity:
         assert served.witness_outcomes == base.witness_outcomes
 
 
+# -- grafted subtrees under eager first-divergence racing ---------------------
+
+
+def writers_then_final(final_after):
+    """Three conflicting writers and a final writer ordered after the
+    ones named in ``final_after`` — deterministic when it follows all
+    three, non-deterministic otherwise, with one path domain either
+    way, so the two variants share exploration subtrees."""
+    graph, programs = synthetic_conflict_graph(3)
+    programs = dict(programs)
+    programs["final"] = conflicting_write("/shared", "x")
+    graph.add_node("final")
+    for writer in final_after:
+        graph.add_edge(writer, "final")
+    return lambda options: det_mod.check_determinism(graph, programs, options)
+
+
+class TestGraftedWalk:
+    @pytest.fixture
+    def spills(self, monkeypatch):
+        """Subtree-summary batches written to the store, in order."""
+        from repro.service.incremental import DetIncremental
+
+        batches = []
+        real = DetIncremental.spill_subtrees
+
+        def spy(self, items):
+            batches.append(len(items))
+            return real(self, items)
+
+        monkeypatch.setattr(DetIncremental, "spill_subtrees", spy)
+        return batches
+
+    def options(self, tmp_path, incremental=True):
+        # Elimination and pruning off so both variants keep all four
+        # resources and the recorded subtrees stay reachable.
+        return DeterminismOptions(
+            incremental=incremental,
+            incremental_dir=str(tmp_path),
+            use_elimination=False,
+            use_pruning=False,
+        )
+
+    def test_early_stopped_walk_spills_nothing(self, tmp_path, spills):
+        check = writers_then_final(["w0", "w1"])
+        result = check(self.options(tmp_path))
+        assert not result.deterministic
+        assert spills == []
+        check = writers_then_final(["w0", "w1", "w2"])
+        assert check(self.options(tmp_path)).deterministic
+        assert spills and spills[0] > 0
+
+    def test_divergence_after_a_graft_reruns_from_scratch(
+        self, tmp_path, spills, monkeypatch
+    ):
+        writers_then_final(["w0", "w1", "w2"])(self.options(tmp_path))
+        assert spills, "the deterministic walk must record its subtrees"
+        reruns = []
+        real = det_mod.check_determinism
+
+        def spy(graph, programs, options=None, **kwargs):
+            reruns.append(options.incremental)
+            return real(graph, programs, options, **kwargs)
+
+        monkeypatch.setattr(det_mod, "check_determinism", spy)
+        check = writers_then_final(["w0", "w1"])
+        served = check(self.options(tmp_path))
+        # The incremental check, then one from-scratch re-run.
+        assert reruns == [True, False]
+        monkeypatch.setattr(det_mod, "check_determinism", real)
+        scratch = check(self.options(tmp_path, incremental=False))
+        assert not served.deterministic
+        assert served.witness_fs == scratch.witness_fs
+        assert served.witness_orders == scratch.witness_orders
+        assert str(served.race.resource_a) == str(scratch.race.resource_a)
+        assert str(served.race.resource_b) == str(scratch.race.resource_b)
+
+
 # -- degradation: a damaged store can cost time, never a verdict --------------
 
 
@@ -377,21 +457,31 @@ from repro import DeterminismOptions, Rehearsal
 source = open(sys.argv[1], encoding="utf8").read()
 options = DeterminismOptions(incremental=True, incremental_dir=sys.argv[2])
 report = Rehearsal(options=options).verify(source, name="m.pp")
-stats = report.determinism.stats
-race = report.determinism.race
+det = report.determinism
+stats = det.stats
+race = det.race
 print(json.dumps({
     "deterministic": report.deterministic,
     "idempotent": report.idempotent,
     "race": [str(race.resource_a), str(race.resource_b), str(race.path)]
         if race is not None else None,
-    "reuse": stats.subtree_reuse_hits + stats.cnf_cache_hits
-        + stats.commute_cache_hits,
+    "witness_fs": repr(det.witness_fs),
+    "witness_orders": [list(map(str, o)) for o in det.witness_orders]
+        if det.witness_orders is not None else None,
+    "subtree_reuse_hits": stats.subtree_reuse_hits,
 }))
 """
 
 
 class TestCrossProcess:
-    @pytest.mark.parametrize("name", ["ntp-fixed", "ntp-nondet"])
+    """A fresh process with a different hash seed must find the
+    previous process's whole-run results: the store's digests are
+    pure functions of the catalog, not of set or dict iteration
+    order."""
+
+    @pytest.mark.parametrize(
+        "name", ["ntp-fixed", "ntp-nondet", "jpa", "dns-nondet"]
+    )
     def test_new_process_rehydrates_identical_verdict(self, name, tmp_path):
         manifest = tmp_path / "m.pp"
         manifest.write_text(load_source(name), encoding="utf8")
@@ -400,7 +490,8 @@ class TestCrossProcess:
             [os.path.abspath("src")] + sys.path
         )
 
-        def run():
+        def run(hash_seed):
+            env["PYTHONHASHSEED"] = hash_seed
             proc = subprocess.run(
                 [
                     sys.executable,
@@ -416,11 +507,19 @@ class TestCrossProcess:
             )
             return json.loads(proc.stdout)
 
-        first = run()
-        second = run()
-        assert first["reuse"] == 0 or first["deterministic"] is not None
-        assert second["reuse"] > 0, "second process must hit the store"
-        for key in ("deterministic", "idempotent", "race"):
+        first = run("1")
+        second = run("2")
+        assert first["subtree_reuse_hits"] == 0
+        assert second["subtree_reuse_hits"] >= 1, (
+            "second process must hit the store's whole-run results"
+        )
+        for key in (
+            "deterministic",
+            "idempotent",
+            "race",
+            "witness_fs",
+            "witness_orders",
+        ):
             assert first[key] == second[key]
 
 

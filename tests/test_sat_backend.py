@@ -1,36 +1,24 @@
-"""The pluggable solver-backend layer: configs, spec parsing,
-portfolio racing, the external-solver bridge, and the query-layer
-plumbing (including the deprecated keyword shims)."""
+"""The pluggable solver-backend layer: the reference solver's fixed
+configuration, spec parsing, the external-solver bridge, and the
+query-layer plumbing."""
 
-import os
 import random
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import SolverError
 from repro.logic import TermBank
 from repro.sat import (
-    DEFAULT_CONFIG,
     ExternalBackend,
-    PortfolioBackend,
     Solver,
     SolverBackend,
-    SolverConfig,
-    backend_label,
-    brute_force_solve,
     check_assignment,
-    default_portfolio,
     find_external_solver,
-    make_solver,
     parse_backend_spec,
     solve_cnf,
 )
-from repro.sat import portfolio as portfolio_mod
 from repro.sat.backend import solver_counters
 from repro.sat.external import parse_solver_output
 from repro.smt.query import IncrementalQuery, Query
@@ -49,91 +37,55 @@ def random_instance(seed, num_vars=8, num_clauses=30):
     return clauses
 
 
-class TestSolverConfig:
-    def test_default_is_reference(self):
-        assert DEFAULT_CONFIG == SolverConfig()
-        assert DEFAULT_CONFIG.restart_policy == "luby"
-        assert DEFAULT_CONFIG.seed == 0
+def three_sat(seed, num_vars=90, num_clauses=383):
+    """A uniform random 3-SAT instance near the phase transition: big
+    enough to restart, small enough to solve in milliseconds."""
+    rng = random.Random(seed)
+    return [
+        [rng.choice([-1, 1]) * v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(num_clauses)
+    ]
 
-    def test_rejects_unknown_restart_policy(self):
-        with pytest.raises(ValueError, match="restart policy"):
-            SolverConfig(restart_policy="inner-outer")
 
-    def test_rejects_bad_restart_unit(self):
-        with pytest.raises(ValueError, match="restart_unit"):
-            SolverConfig(restart_unit=0)
-
-    def test_rejects_decay_out_of_range(self):
-        with pytest.raises(ValueError, match="decay"):
-            SolverConfig(decay=1.0)
-        with pytest.raises(ValueError, match="decay"):
-            SolverConfig(decay=0.0)
-
-    def test_frozen_and_hashable(self):
-        config = SolverConfig(seed=3)
-        with pytest.raises(Exception):
-            config.seed = 4
-        assert len({config, SolverConfig(seed=3)}) == 1
-
-    def test_default_portfolio_shape(self):
-        ladder = default_portfolio(4)
-        assert len(ladder) == 4
-        assert ladder[0] == DEFAULT_CONFIG
-        assert len({c.name for c in ladder}) == 4
-
-    def test_default_portfolio_extends_past_ladder(self):
-        big = default_portfolio(9)
-        assert len(big) == 9
-        assert len({c.name for c in big}) == 9
-        assert big[0] == DEFAULT_CONFIG
-
-    def test_default_portfolio_rejects_zero(self):
-        with pytest.raises(ValueError):
-            default_portfolio(0)
+#: Per seed: (sat, conflicts, decisions, propagations, restarts,
+#: model as a bitmask of true variables) of the reference solver on
+#: ``three_sat(seed)``, recorded before the configuration knobs
+#: (restart policy, seed jitter, phase and decay) became constants.
+REFERENCE_RUNS = {
+    0: (False, 271, 332, 6030, 3, None),
+    1: (True, 60, 92, 1434, 0, 1761621203014311710624601944),
+    2: (True, 118, 152, 2895, 1, 304897878024513517189911002),
+    3: (True, 31, 48, 776, 0, 1413922195021030927336949632),
+    4: (True, 283, 370, 6885, 3, 2334268368412116949659956686),
+    5: (False, 380, 464, 7957, 4, None),
+}
 
 
 class TestConfiguredSolver:
-    """Configs change heuristics, never answers — and the default
-    config is byte-identical to the historical solver."""
+    """The solver's one configuration (Luby restarts with unit 64,
+    activity ties broken by variable index, saved phases defaulting to
+    False, EVSIDS decay 0.95) is byte-identical to the historical
+    reference: same answers, same model, same effort counters."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_default_config_is_bit_identical(self, seed):
-        clauses = random_instance(seed)
-        plain = Solver()
-        configured = Solver(config=DEFAULT_CONFIG)
-        for solver in (plain, configured):
-            for clause in clauses:
-                solver.add_clause(clause)
-        r1 = plain.solve()
-        r2 = configured.solve()
-        assert r1.sat == r2.sat
-        assert r1.assignment == r2.assignment
-        assert plain.conflicts == configured.conflicts
-        assert plain.decisions == configured.decisions
-
-    @pytest.mark.parametrize("config", default_portfolio(6)[1:])
-    def test_every_ladder_member_is_sound(self, config):
-        for seed in range(8):
-            clauses = random_instance(seed, num_vars=7, num_clauses=24)
-            solver = Solver(config=config)
-            for clause in clauses:
-                solver.add_clause(clause)
-            result = solver.solve()
-            expected = brute_force_solve(clauses, 7) is not None
-            assert result.sat == expected, (config.name, seed)
-            if result.sat:
-                assert check_assignment(clauses, result.assignment)
-
-    def test_seed_jitter_is_deterministic(self):
-        clauses = random_instance(5)
-        runs = []
-        for _ in range(2):
-            solver = Solver(config=SolverConfig(seed=7))
-            for clause in clauses:
-                solver.add_clause(clause)
-            result = solver.solve()
-            runs.append((result.sat, tuple(sorted(result.assignment.items()))))
-        assert runs[0] == runs[1]
+        solver = Solver()
+        for clause in three_sat(seed):
+            solver.add_clause(clause)
+        result = solver.solve()
+        model = (
+            sum(1 << v for v, value in result.assignment.items() if value)
+            if result.sat
+            else None
+        )
+        assert (
+            result.sat,
+            solver.conflicts,
+            solver.decisions,
+            solver.propagations,
+            solver.restarts,
+            model,
+        ) == REFERENCE_RUNS[seed]
 
 
 class TestParseBackendSpec:
@@ -141,33 +93,6 @@ class TestParseBackendSpec:
         backend = parse_backend_spec("cdcl")()
         assert isinstance(backend, Solver)
         assert isinstance(backend, SolverBackend)
-
-    def test_cdcl_with_portfolio_count_races(self):
-        backend = parse_backend_spec("cdcl", portfolio=3)()
-        assert isinstance(backend, PortfolioBackend)
-        assert len(backend.configs) == 3
-
-    def test_portfolio_spec_with_count(self):
-        backend = parse_backend_spec("portfolio:2")()
-        assert isinstance(backend, PortfolioBackend)
-        assert len(backend.configs) == 2
-
-    def test_portfolio_spec_defaults_to_four(self):
-        assert len(parse_backend_spec("portfolio")().configs) == 4
-
-    def test_bare_portfolio_takes_argument_default(self):
-        assert len(parse_backend_spec("portfolio", portfolio=5)().configs) == 5
-
-    def test_bare_portfolio_treats_one_as_unset(self):
-        """The CLI's --portfolio default is 1 (no racing); an explicit
-        '--solver portfolio' must still build the documented 4-member
-        portfolio, matching what backend_label reports for the row."""
-        backend = parse_backend_spec("portfolio", portfolio=1)()
-        assert len(backend.configs) == 4
-        assert backend_label("portfolio", portfolio=1) == "portfolio:4"
-
-    def test_explicit_portfolio_one_is_single_member(self):
-        assert len(parse_backend_spec("portfolio:1")().configs) == 1
 
     @pytest.mark.parametrize(
         "spec",
@@ -177,177 +102,19 @@ class TestParseBackendSpec:
         with pytest.raises(ValueError):
             parse_backend_spec(spec)
 
-    def test_invalid_counts_raise(self):
-        with pytest.raises(ValueError, match="workers"):
-            parse_backend_spec("cdcl", workers=0)
-        with pytest.raises(ValueError, match="portfolio"):
-            parse_backend_spec("cdcl", portfolio=0)
-
     def test_external_auto_without_solvers_names_candidates(self, monkeypatch):
         monkeypatch.setenv("PATH", "")
         with pytest.raises(ValueError, match="kissat"):
             parse_backend_spec("external:auto")
 
-    def test_backend_label(self):
-        assert backend_label() == "cdcl"
-        assert backend_label(portfolio=3) == "portfolio:3"
-        assert backend_label("portfolio") == "portfolio:4"
-        assert backend_label("portfolio:2") == "portfolio:2"
-        assert backend_label(portfolio=2, solver_workers=4) == "portfolio:2+cube:4"
-        assert backend_label(solver_workers=2) == "cdcl+cube:2"
-        assert backend_label("external:kissat") == "external:kissat"
-
     def test_solver_counters_shape(self):
-        counters = solver_counters(make_solver())
+        counters = solver_counters(Solver())
         assert set(counters) == {
             "conflicts",
             "decisions",
             "propagations",
             "restarts",
         }
-
-
-class TestPortfolioBackend:
-    def test_needs_configs_and_workers(self):
-        with pytest.raises(ValueError):
-            PortfolioBackend(())
-        with pytest.raises(ValueError):
-            PortfolioBackend(default_portfolio(2), workers=0)
-
-    def test_satisfies_protocol(self):
-        assert isinstance(
-            PortfolioBackend(default_portfolio(2)), SolverBackend
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_sequential_solver_exactly(self, seed):
-        """On corpus-scale instances the reference member answers in
-        round 0, so the portfolio is byte-identical to a plain
-        solver — including incremental state across calls."""
-        clauses = random_instance(seed, num_vars=9, num_clauses=35)
-        plain = Solver()
-        raced = PortfolioBackend(default_portfolio(3))
-        for backend in (plain, raced):
-            for clause in clauses:
-                backend.add_clause(clause)
-        for assumptions in ([], [1], [-2, 3], [4, -5]):
-            r1 = plain.solve(assumptions)
-            r2 = raced.solve(assumptions)
-            assert r1.sat == r2.sat
-            assert r1.assignment == r2.assignment
-            assert r1.core == r2.core
-        assert plain.conflicts == raced.conflicts
-
-    def test_budget_racing_still_answers(self, monkeypatch):
-        """With a starvation-level round budget the reference member
-        overruns and the diversified helpers race; escalation must
-        still land the right verdict, identically across runs."""
-        monkeypatch.setattr(portfolio_mod, "FIRST_ROUND_BUDGET", 1)
-        outcomes = []
-        for _ in range(2):
-            clauses = random_instance(3, num_vars=9, num_clauses=40)
-            backend = PortfolioBackend(default_portfolio(4))
-            for clause in clauses:
-                backend.add_clause(clause)
-            result = backend.solve()
-            expected = brute_force_solve(clauses, 9) is not None
-            assert result.sat == expected
-            if result.sat:
-                assert check_assignment(clauses, result.assignment)
-            outcomes.append(
-                (result.sat, tuple(sorted(result.assignment.items())))
-            )
-        assert outcomes[0] == outcomes[1]
-
-    def test_preprocessing_member_reconstructs_models(self, monkeypatch):
-        monkeypatch.setattr(portfolio_mod, "FIRST_ROUND_BUDGET", 1)
-        # Only the reference and the preprocess-heavy member: any SAT
-        # answer from the helper must decode over original variables.
-        configs = (DEFAULT_CONFIG, default_portfolio(4)[3])
-        assert configs[1].preprocess is True
-        for seed in range(4):
-            clauses = random_instance(seed, num_vars=8, num_clauses=28)
-            backend = PortfolioBackend(configs)
-            for clause in clauses:
-                backend.add_clause(clause)
-            result = backend.solve(assumptions=[2])
-            expected = solve_cnf(clauses + [[2]])
-            assert result.sat == expected.sat
-            if result.sat:
-                assert check_assignment(clauses, result.assignment)
-                assert result.assignment.get(2, False) is True
-
-    def test_pool_path_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(portfolio_mod, "FIRST_ROUND_BUDGET", 1)
-        clauses = random_instance(2, num_vars=8, num_clauses=30)
-        serial = PortfolioBackend(default_portfolio(3), workers=1)
-        pooled = PortfolioBackend(default_portfolio(3), workers=2)
-        try:
-            for backend in (serial, pooled):
-                for clause in clauses:
-                    backend.add_clause(clause)
-            r1 = serial.solve()
-            r2 = pooled.solve()
-            assert r1.sat == r2.sat
-            assert r1.assignment == r2.assignment
-        finally:
-            pooled.close()
-
-    def test_max_conflicts_still_enforced(self):
-        clauses = random_instance(1, num_vars=10, num_clauses=45)
-        backend = PortfolioBackend(default_portfolio(2))
-        for clause in clauses:
-            backend.add_clause(clause)
-        with pytest.raises(SolverError):
-            backend.solve(max_conflicts=0)
-
-    def test_max_conflicts_bounds_total_portfolio_effort(self):
-        """When the reference member exhausts the caller's whole
-        max_conflicts budget, the backend must raise like the
-        sequential solver would — not hand helpers the full round
-        budget and answer anyway."""
-        clauses = random_instance(3, num_vars=12, num_clauses=50)
-        plain = Solver()
-        for clause in clauses:
-            plain.add_clause(clause)
-        try:
-            plain.solve(max_conflicts=1)
-        except SolverError:
-            pass
-        else:
-            pytest.skip("instance solved within one conflict")
-        backend = PortfolioBackend(default_portfolio(4))
-        for clause in clauses:
-            backend.add_clause(clause)
-        with pytest.raises(SolverError, match="budget"):
-            backend.solve(max_conflicts=1)
-
-    def test_helper_budget_clamped_to_remaining(self, monkeypatch):
-        """Helpers race only with whatever budget is left after the
-        reference's attempt, and exhausted helper rounds charge the
-        budget; with a tiny cap the call raises instead of burning
-        K * round-budget conflicts."""
-        monkeypatch.setattr(portfolio_mod, "FIRST_ROUND_BUDGET", 1)
-        seen_budgets = []
-        real_attempt = portfolio_mod._helper_attempt
-
-        def spy(config, clauses, num_vars, assumptions, budget):
-            seen_budgets.append(budget)
-            return real_attempt(
-                config, clauses, num_vars, assumptions, budget
-            )
-
-        monkeypatch.setattr(portfolio_mod, "_helper_attempt", spy)
-        clauses = random_instance(3, num_vars=12, num_clauses=50)
-        backend = PortfolioBackend(default_portfolio(3))
-        for clause in clauses:
-            backend.add_clause(clause)
-        cap = 5
-        try:
-            backend.solve(max_conflicts=cap)
-        except SolverError:
-            pass
-        assert all(b <= cap for b in seen_budgets)
 
 
 class TestParseSolverOutput:
@@ -496,7 +263,7 @@ class TestQueryBackendPlumbing:
 
     def test_incremental_query_routes_through_backend(self):
         bank = TermBank()
-        backend = PortfolioBackend(default_portfolio(2))
+        backend = Solver()
         q = IncrementalQuery(bank, backend=lambda: backend)
         assert q.solver is backend
         q.assert_term(bank.or_(bank.var("a"), bank.var("b")))
@@ -504,32 +271,3 @@ class TestQueryBackendPlumbing:
         result = q.check(assumptions=[selector])
         assert result.sat
         assert result.named_model["b"] is True
-
-    def test_use_preprocessing_keyword_warns_but_works(self):
-        bank = TermBank()
-        with pytest.warns(DeprecationWarning, match="use_preprocessing"):
-            q = Query(bank, use_preprocessing=False)
-        assert q.preprocessing is False
-        assert q.use_preprocessing is False
-        with pytest.warns(DeprecationWarning):
-            iq = IncrementalQuery(bank, use_preprocessing=True)
-        assert iq.preprocessing is True
-
-    def test_both_spellings_together_rejected(self):
-        bank = TermBank()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(TypeError):
-                Query(bank, preprocessing=True, use_preprocessing=True)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**20))
-def test_portfolio_members_agree_with_brute_force(seed):
-    clauses = random_instance(seed, num_vars=6, num_clauses=20)
-    expected = brute_force_solve(clauses, 6) is not None
-    for config in default_portfolio(3):
-        solver = Solver(config=config)
-        for clause in clauses:
-            solver.add_clause(clause)
-        assert solver.solve().sat == expected

@@ -13,9 +13,13 @@ asserts that
   budget (the corpus is small after elimination/commutativity — a
   blow-up here means a reduction broke);
 * the corpus total stays within a fixed overall budget;
-* the Fig. 13 workload at n = 6 stays on the subset/state lattice
-  (sub-factorial branches, nonzero memo hits) — the memoization
-  regression tripwire.
+* irc-nondet, the corpus manifest with the most finals, stops at its
+  first diverging final — the eager-racing tripwire;
+* the deterministic Fig. 13 variant at n = 6 stays on the
+  subset/state lattice (sub-factorial branches, nonzero memo hits) —
+  the memoization regression tripwire.  (The non-deterministic
+  workload stops at its second final, so it no longer exercises the
+  lattice.)
 
 Budgets are deliberately loose (≈4x current numbers) so routine
 modeling changes pass, while a lost reduction — which changes the
@@ -29,20 +33,29 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.determinism import DeterminismOptions, check_determinism
-from repro.bench.harness import fig13_lattice_bound, synthetic_conflict_graph
+from repro.bench.harness import (
+    fig13_lattice_bound,
+    synthetic_deterministic_graph,
+)
 from repro.core.pipeline import Rehearsal
 from repro.corpus import BENCHMARK_NAMES, load_source
 
-#: Current corpus numbers: 31 branches max (irc-nondet), 51 total.
+#: Current corpus numbers: 11 branches max (irc-nondet), 31 total.
 MAX_BRANCHES_PER_MANIFEST = 150
 MAX_BRANCHES_TOTAL = 250
 
-#: Fig. 13 at n = 6: the subset/state lattice has 486 edges (see
-#: :func:`repro.bench.harness.fig13_lattice_bound`); the order tree
-#: has 1956 branches.  Anything above the lattice bound means
-#: memoization stopped merging.
+#: irc-nondet walks 31 branches to all 9 of its finals; racing each
+#: final as it lands stops the walk at the second, after 11.
+EARLY_EXIT_MANIFEST = "irc-nondet"
+EARLY_EXIT_MAX_BRANCHES = 11
+
+#: The deterministic Fig. 13 variant at n = 6: the subset/state
+#: lattice has 486 edges (see
+#: :func:`repro.bench.harness.fig13_lattice_bound`) plus 6 into the
+#: final writer; the order tree has 1956 + 720 branches.  Anything
+#: above the bound means memoization stopped merging.
 FIG13_N = 6
-FIG13_MAX_BRANCHES = fig13_lattice_bound(FIG13_N)
+FIG13_MAX_BRANCHES = fig13_lattice_bound(FIG13_N) + FIG13_N
 
 
 def main() -> int:
@@ -70,6 +83,15 @@ def main() -> int:
                 f"{name}: {stats.branches_explored} branches exceed "
                 f"the per-manifest budget of {MAX_BRANCHES_PER_MANIFEST}"
             )
+        if (
+            name == EARLY_EXIT_MANIFEST
+            and stats.branches_explored > EARLY_EXIT_MAX_BRANCHES
+        ):
+            failures.append(
+                f"{name}: {stats.branches_explored} branches exceed "
+                f"{EARLY_EXIT_MAX_BRANCHES} — exploration no longer "
+                "stops at the first diverging final"
+            )
     print(f"{'TOTAL'.ljust(width)}  {total:8d}")
     if total > MAX_BRANCHES_TOTAL:
         failures.append(
@@ -77,17 +99,18 @@ def main() -> int:
             f"{MAX_BRANCHES_TOTAL}"
         )
 
-    graph, programs = synthetic_conflict_graph(FIG13_N)
+    graph, programs = synthetic_deterministic_graph(FIG13_N)
     stats = check_determinism(
         graph,
         programs,
         DeterminismOptions(max_branches=500_000),
     ).stats
     print(
-        f"fig13 n={FIG13_N}: {stats.branches_explored} branches, "
+        f"fig13 deterministic n={FIG13_N}: "
+        f"{stats.branches_explored} branches, "
         f"{stats.memo_hits} memo hits, "
         f"{stats.distinct_finals} distinct finals "
-        f"(lattice bound {FIG13_MAX_BRANCHES}, order tree 1956)"
+        f"(lattice bound {FIG13_MAX_BRANCHES}, order tree 2676)"
     )
     if stats.branches_explored > FIG13_MAX_BRANCHES:
         failures.append(
