@@ -201,7 +201,11 @@ class SymbolicValue:
     ) -> "SymbolicValue":
         if then_v is else_v:
             return then_v
-        keys = set(then_v.indicators) | set(else_v.indicators)
+        # Insertion order, not set order: VFile keys hash their content
+        # string, so a set would intern the terms below (and number the
+        # CNF built from them) differently under each hash seed.
+        keys = dict.fromkeys(then_v.indicators)
+        keys.update(dict.fromkeys(else_v.indicators))
         not_guard = bank.not_(guard)
         out: Dict[DomainValue, Term] = {}
         for key in keys:
@@ -221,9 +225,10 @@ class SymbolicValue:
         constraints."""
         if self is other:
             return bank.TRUE
-        keys = set(self.indicators) & set(other.indicators)
         terms = []
-        for key in keys:
+        for key in self.indicators:
+            if key not in other.indicators:
+                continue
             t1 = self.indicators[key]
             t2 = other.indicators[key]
             if t1 is t2:
