@@ -7,7 +7,18 @@ queries.
 
 Features: two-watched-literal propagation, first-UIP conflict-clause
 learning with recursive minimization, EVSIDS branching, phase saving,
-Luby restarts, and LBD-based learned-clause deletion.
+Luby restarts, and length-based learned-clause deletion.
+
+Branching takes the unassigned variable of highest activity from a
+lazy order heap of ``(-activity, var)`` entries (MiniSat's, after Eén
+& Sörensson 2003): stale entries are skipped when popped instead of
+being updated in place.  The tuple order breaks activity ties towards
+the lowest variable index, exactly as a scan over all variables would,
+and propagation visits watch lists in the same order as the plain
+two-watched-literal loop, so the search (every decision, conflict and
+model) is the one a linear-scan solver makes; ``tests/data/
+solver-transcript.json`` pins it on the corpus.  Blocker literals are
+deliberately absent: they reorder propagation and would move it.
 
 The solver is *incremental*: the clause database — including learned
 clauses and root-level units — survives ``solve()`` calls, so a
@@ -22,6 +33,7 @@ analysis reports the subset of assumptions in the unsat core
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SolverError
@@ -77,6 +89,10 @@ class Solver:
         self._activity: List[float] = [0.0]
         self._phase: List[bool] = [False]
         self._occurs: List[bool] = [False]
+        # Lazy order heap: every unassigned variable that occurs has an
+        # entry keyed by its current activity; other entries are stale
+        # and skipped by _pick_branch.
+        self._order: List[tuple[float, int]] = []
         self._var_inc = 1.0
         self._ok = True
         self.conflicts = 0
@@ -120,21 +136,27 @@ class Solver:
             raise SolverError("clauses can only be added at decision level 0")
         seen: set[int] = set()
         clause: List[int] = []
+        assign = self._assign
+        occurs = self._occurs
         for lit in lits:
             if lit == 0:
                 raise SolverError("literal 0 is not allowed")
-            self.ensure_vars(abs(lit))
+            var = lit if lit > 0 else -lit
+            if var > self.num_vars:
+                self.ensure_vars(var)
             if -lit in seen:
                 return  # tautology
             if lit in seen:
                 continue
-            value = self._value(lit)
+            value = assign[var] if lit > 0 else -assign[var]
             if value == TRUE:
                 return  # satisfied at the root: implied by a unit
             seen.add(lit)
             if value != FALSE:
                 clause.append(lit)
-            self._occurs[abs(lit)] = True
+            if not occurs[var]:
+                occurs[var] = True
+                heappush(self._order, (-self._activity[var], var))
         if not clause:
             self._ok = False
             return
@@ -176,42 +198,66 @@ class Solver:
     # -- propagation ----------------------------------------------------------
 
     def _propagate(self) -> Optional[List[int]]:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self._queue_head < len(self._trail):
-            lit = self._trail[self._queue_head]
-            self._queue_head += 1
-            self.propagations += 1
-            watchers = self._watches[lit]
-            self._watches[lit] = []
+        """Unit propagation; returns a conflicting clause or None.
+
+        The hot loop of the solver, so ``_value`` and ``_enqueue`` are
+        inlined: a literal's value is ``assign[lit]`` for a positive
+        literal and ``-assign[-lit]`` for a negative one."""
+        trail = self._trail
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        watches = self._watches
+        decision_level = len(self._trail_lim)
+        head = self._queue_head
+        propagations = self.propagations
+        conflict = None
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            propagations += 1
+            watchers = watches[lit]
+            kept: List[List[int]] = []
+            watches[lit] = kept
+            false_lit = -lit
             i = 0
             n = len(watchers)
             while i < n:
                 clause = watchers[i]
                 i += 1
                 # Normalize: watched literals are clause[0], clause[1].
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
                 first = clause[0]
-                if self._value(first) == TRUE:
-                    self._watches[lit].append(clause)
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == TRUE:
+                    kept.append(clause)
                     continue
                 # Look for a replacement watch.
-                found = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != FALSE:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[-clause[1]].append(clause)
-                        found = True
+                    other = clause[k]
+                    if (assign[other] if other > 0 else -assign[-other]) != FALSE:
+                        clause[1], clause[k] = other, clause[1]
+                        watches[-other].append(clause)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                self._watches[lit].append(clause)
-                if not self._enqueue(first, clause):
-                    # Conflict: restore remaining watchers first.
-                    self._watches[lit].extend(watchers[i:])
-                    return clause
-        return None
+                else:
+                    # Clause is unit or conflicting.
+                    kept.append(clause)
+                    if value == FALSE:
+                        # Conflict: restore remaining watchers first.
+                        kept.extend(watchers[i:])
+                        conflict = clause
+                        break
+                    var = first if first > 0 else -first
+                    assign[var] = TRUE if first > 0 else FALSE
+                    level[var] = decision_level
+                    reason[var] = clause
+                    trail.append(first)
+            if conflict is not None:
+                break
+        self._queue_head = head
+        self.propagations = propagations
+        return conflict
 
     # -- conflict analysis -------------------------------------------------------
 
@@ -301,11 +347,15 @@ class Solver:
         return result
 
     def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        activity[var] += self._var_inc
+        if activity[var] > 1e100:
             for i in range(1, self.num_vars + 1):
-                self._activity[i] *= 1e-100
+                activity[i] *= 1e-100
             self._var_inc *= 1e-100
+            self._rebuild_order()
+        elif self._assign[var] == UNDEF:
+            heappush(self._order, (-activity[var], var))
 
     def _decay(self) -> None:
         self._var_inc /= VAR_DECAY
@@ -316,33 +366,51 @@ class Solver:
         if self._decision_level() <= level:
             return
         limit = self._trail_lim[level]
+        assign = self._assign
+        phase = self._phase
+        reason = self._reason
+        activity = self._activity
+        order = self._order
         for lit in reversed(self._trail[limit:]):
-            var = abs(lit)
-            self._phase[var] = self._assign[var] == TRUE
-            self._assign[var] = UNDEF
-            self._reason[var] = None
+            var = lit if lit > 0 else -lit
+            phase[var] = lit > 0
+            assign[var] = UNDEF
+            reason[var] = None
+            heappush(order, (-activity[var], var))
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._queue_head = len(self._trail)
+        if len(order) > 4 * self.num_vars:
+            self._rebuild_order()
 
     # -- branching --------------------------------------------------------------
 
     def _pick_branch(self) -> int:
-        best_var = 0
-        best_act = -1.0
-        for var in range(1, self.num_vars + 1):
-            # Vars in no clause (e.g. eliminated by preprocessing) are
-            # free: branching on them only pads the trail.
-            if (
-                self._occurs[var]
-                and self._assign[var] == UNDEF
-                and self._activity[var] > best_act
-            ):
-                best_act = self._activity[var]
-                best_var = var
-        if best_var == 0:
-            return 0
-        return best_var if self._phase[best_var] else -best_var
+        """The unassigned occurring variable of highest activity, lowest
+        index first on ties, as a literal in its saved phase; 0 when
+        every such variable is assigned."""
+        order = self._order
+        assign = self._assign
+        activity = self._activity
+        while order:
+            key, var = heappop(order)
+            if assign[var] == UNDEF and -key == activity[var]:
+                return var if self._phase[var] else -var
+        return 0
+
+    def _rebuild_order(self) -> None:
+        # Vars in no clause (e.g. eliminated by preprocessing) are
+        # free: branching on them only pads the trail, so they get no
+        # entry.
+        assign = self._assign
+        activity = self._activity
+        occurs = self._occurs
+        self._order = order = [
+            (-activity[var], var)
+            for var in range(1, self.num_vars + 1)
+            if occurs[var] and assign[var] == UNDEF
+        ]
+        heapify(order)
 
     # -- main loop ---------------------------------------------------------------
 
@@ -368,8 +436,11 @@ class Solver:
         for lit in assumptions:
             if lit == 0:
                 raise SolverError("literal 0 is not allowed")
-            self.ensure_vars(abs(lit))
-            self._occurs[abs(lit)] = True
+            var = abs(lit)
+            self.ensure_vars(var)
+            if not self._occurs[var]:
+                self._occurs[var] = True
+                heappush(self._order, (-self._activity[var], var))
         if self._propagate() is not None:
             self._ok = False
             return self._result(False)
@@ -484,8 +555,8 @@ class Solver:
         return sorted(core)
 
     def _reduce_learned(self) -> None:
-        """Drop the less active half of learned clauses (keeping those
-        currently used as reasons)."""
+        """Drop the longer half of learned clauses, keeping those
+        currently used as reasons and binary ones."""
         reasons = {id(r) for r in self._reason if r is not None}
         self._learned.sort(key=len)
         keep = self._learned[: len(self._learned) // 2]

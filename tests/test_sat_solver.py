@@ -13,6 +13,8 @@ from repro.sat import (
     count_models,
     solve_cnf,
 )
+from repro.sat import solver as solver_module
+from repro.sat.solver import UNDEF
 
 
 class TestBasics:
@@ -170,3 +172,101 @@ class TestOracleHelpers:
     def test_brute_force_limit(self):
         with pytest.raises(ValueError):
             brute_force_solve([[1]], 30)
+
+
+class ScanSolver(Solver):
+    """The reference branching rule the order heap replaced: scan every
+    variable, take the highest activity, the lowest index on ties."""
+
+    def _pick_branch(self) -> int:
+        best_var = 0
+        best_act = -1.0
+        for var in range(1, self.num_vars + 1):
+            if (
+                self._occurs[var]
+                and self._assign[var] == UNDEF
+                and self._activity[var] > best_act
+            ):
+                best_act = self._activity[var]
+                best_var = var
+        if best_var == 0:
+            return 0
+        return best_var if self._phase[best_var] else -best_var
+
+
+class RescaleCountingSolver(Solver):
+    """Counts activity rescales: ``_var_inc`` changes inside ``_bump``
+    only when activities pass 1e100 and are scaled down."""
+
+    rescales = 0
+
+    def _bump(self, var: int) -> None:
+        var_inc = self._var_inc
+        super()._bump(var)
+        if self._var_inc != var_inc:
+            self.rescales += 1
+
+
+def _random_3sat(rng: random.Random, num_vars: int, num_clauses: int):
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(num_clauses)
+    ]
+
+
+def _run_session(solver_cls, clauses, rng: random.Random):
+    """Solve ``clauses`` incrementally: half up front, then alternating
+    assumption queries and batches of added clauses, one variable
+    beyond the initial range introduced along the way."""
+    num_vars = max(abs(lit) for clause in clauses for lit in clause)
+    cut = len(clauses) // 2
+    solver = solver_cls()
+    for clause in clauses[:cut]:
+        solver.add_clause(clause)
+    results = [solver.solve()]
+    batches = [clauses[cut:][i::3] for i in range(3)]
+    for batch in batches:
+        assumptions = [
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, num_vars + 2), 6)
+        ]
+        results.append(solver.solve(assumptions=assumptions))
+        for clause in batch:
+            solver.add_clause(clause)
+        results.append(solver.solve())
+    return solver, results
+
+
+def _equivalence_cases():
+    cases = [(f"php-{p}-{h}", _pigeonhole(p, h)) for p, h in ((4, 3), (5, 4), (5, 5), (6, 5))]
+    for seed in range(8):
+        rng = random.Random(seed)
+        num_vars = rng.randint(30, 70)
+        cases.append((f"3sat-{seed}", _random_3sat(rng, num_vars, int(4.3 * num_vars))))
+    return cases
+
+
+class TestOrderHeap:
+    """The order heap must pick exactly what the linear scan picks, so
+    every result, model, core and counter stays the same."""
+
+    @pytest.mark.parametrize(
+        "name,clauses", _equivalence_cases(), ids=[c[0] for c in _equivalence_cases()]
+    )
+    def test_heap_matches_linear_scan(self, name, clauses):
+        heap_solver, heap_results = _run_session(Solver, clauses, random.Random(name))
+        scan_solver, scan_results = _run_session(ScanSolver, clauses, random.Random(name))
+        assert heap_results == scan_results
+        assert heap_solver.decisions == scan_solver.decisions > 0
+
+    def test_heap_matches_linear_scan_across_activity_rescales(self, monkeypatch):
+        # Halving the decay doubles the bump increment every conflict,
+        # so activities pass 1e100 after about 330 conflicts.
+        monkeypatch.setattr(solver_module, "VAR_DECAY", 0.5)
+        clauses = _random_3sat(random.Random(7), 100, 430)
+        heap_solver, heap_results = _run_session(
+            RescaleCountingSolver, clauses, random.Random(7)
+        )
+        _, scan_results = _run_session(ScanSolver, clauses, random.Random(7))
+        assert heap_solver.rescales > 0
+        assert heap_results == scan_results
