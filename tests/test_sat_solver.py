@@ -216,8 +216,8 @@ def _random_3sat(rng: random.Random, num_vars: int, num_clauses: int):
 
 def _run_session(solver_cls, clauses, rng: random.Random):
     """Solve ``clauses`` incrementally: half up front, then alternating
-    assumption queries and batches of added clauses, one variable
-    beyond the initial range introduced along the way."""
+    assumption queries and batches of added clauses.  Assumptions may
+    name a variable no clause mentions."""
     num_vars = max(abs(lit) for clause in clauses for lit in clause)
     cut = len(clauses) // 2
     solver = solver_cls()
