@@ -18,18 +18,15 @@ Public API tour:
 * :mod:`repro.service` — batch verification: :class:`BatchVerifier` /
   :func:`verify_batch` fan a fleet of manifests out to worker
   processes behind a content-addressed :class:`VerdictCache`.
-* :mod:`repro.testing` — differential fuzzing and the test
-  orchestration layer (dependency-aware selection, SPRT burn-in,
-  results database — see docs/testing.md).
+* :mod:`repro.testing` — differential fuzzing and reproducer replay
+  (see docs/fuzzing.md).
 
 The package init is **lazy** (PEP 562): importing ``repro`` binds only
 ``__version__``; every re-exported name resolves on first attribute
-access via the ``_LAZY_EXPORTS`` table below.  This keeps ``import
-repro.testing.orchestrate.testmap`` from dragging in the whole solver
-stack, and — because the table is a static dict literal — lets the
-test-selection import scanner (:mod:`repro.testing.orchestrate.testmap`)
-resolve ``from repro import Rehearsal`` to its true defining module
-instead of marking every module as a dependency of everything.
+access via the ``_LAZY_EXPORTS`` table below.  This keeps a one-shot
+``rehearsal verify`` from importing the batch service's process pool
+and the daemon's event loop, which it does not run (checked by
+``tests/test_import_graph.py``).
 """
 
 from importlib import import_module
@@ -42,9 +39,9 @@ from importlib import import_module
 # SolverBackend layer and verify-batch rows gain ``solver_backend``.
 __version__ = "1.6.0"
 
-#: name -> defining module.  A static literal on purpose: the import
-#: scanner behind `rehearsal testmap` parses this table to resolve
-#: ``from repro import X`` precisely (see docs/testing.md).
+#: name -> defining module.  Only the named module is imported on
+#: first access, which keeps the one-shot CLI's import cost down
+#: (checked by tests/test_import_graph.py).
 _LAZY_EXPORTS = {
     "AnalysisBudgetExceeded": "repro.errors",
     "BatchReport": "repro.service",

@@ -38,15 +38,6 @@ Two commands behind one ``rehearsal`` entry point (see setup.py
   catalog-level static analyzer (:mod:`repro.analysis.lint`): rule
   diagnostics with source spans, no SAT.  Exit 0 — clean (at most
   notes), 1 — warnings, 2 — errors, 3 — bad invocation.
-* ``rehearsal testmap build|select|check`` — dependency-aware test
-  selection over the static import graph
-  (:mod:`repro.testing.orchestrate.testmap`).
-* ``rehearsal burnin`` — SPRT burn-in promoting quarantined fuzz
-  reproducers into the pinned regression corpus
-  (:mod:`repro.testing.orchestrate.burnin`).
-* ``rehearsal testreport --db <results.sqlite>`` — HTML/SVG report
-  from the per-test results database
-  (:mod:`repro.testing.orchestrate.report`).
 
 Exit codes of the verify commands: 0 — verified (for the batch: every
 manifest produced a verdict, and with ``--strict`` every verdict is
@@ -904,15 +895,14 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         default=None,
         help="replay a single committed reproducer .pp through the "
         "differential pipeline instead of fuzzing; exit 0 if the "
-        "disagreement stays fixed and the pinned verdicts hold "
-        "(this is the burn-in trial executor)",
+        "disagreement stays fixed and the pinned verdicts hold",
     )
     parser.add_argument(
         "--oracle-seed",
         type=int,
         default=None,
         help="with --replay: override the oracle seed instead of "
-        "using the header's (burn-in varies it per trial)",
+        "using the header's",
     )
     return parser
 
@@ -1254,329 +1244,6 @@ def run_lint(argv) -> int:
     return max(r.exit_code for r in reports)
 
 
-# -- rehearsal testmap --------------------------------------------------------
-
-
-def build_testmap_parser() -> argparse.ArgumentParser:
-    from repro.testing.orchestrate.testmap import DEFAULT_MAP_PATH
-
-    parser = argparse.ArgumentParser(
-        prog="rehearsal testmap",
-        description=(
-            "Dependency-aware test selection: build a content-hashed "
-            "module-to-test map from the static import graph, turn a "
-            "changed-file list into the minimal pytest file list "
-            "(falling back to the full suite whenever precision "
-            "cannot be guaranteed), or check the committed map for "
-            "drift."
-        ),
-        epilog=(
-            "Exit codes: 0 — done (select always succeeds: a "
-            "fallback IS a valid selection); 1 — check found drift; "
-            "2 — bad invocation."
-        ),
-    )
-    parser.add_argument(
-        "--root",
-        default=".",
-        help="repository root to scan (default: current directory)",
-    )
-    parser.add_argument(
-        "--map",
-        default=DEFAULT_MAP_PATH,
-        help=f"map file, relative to --root (default: {DEFAULT_MAP_PATH})",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("build", help="scan the repo and (re)write the map")
-    select = sub.add_parser(
-        "select",
-        help="map changed paths to the minimal test subset",
-    )
-    select.add_argument(
-        "--changed",
-        nargs="+",
-        required=True,
-        metavar="PATH",
-        help="changed paths (repo-relative or absolute)",
-    )
-    select.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full selection record as JSON instead of the "
-        "line-oriented test list",
-    )
-    sub.add_parser(
-        "check",
-        help="rebuild from the working tree and fail on any drift "
-        "from the committed map",
-    )
-    return parser
-
-
-def run_testmap(argv) -> int:
-    import json as json_mod
-
-    from repro.testing.orchestrate import testmap as tm
-
-    args = build_testmap_parser().parse_args(argv)
-    root = OsPath(args.root)
-    map_path = root / args.map
-
-    if args.command == "build":
-        built = tm.build_map(root)
-        map_path.parent.mkdir(parents=True, exist_ok=True)
-        built.save(map_path)
-        print(
-            f"wrote {map_path}: {len(built.modules)} modules, "
-            f"{len(built.tests)} test files, "
-            f"{len(built.global_modules)} conftest dependencies"
-        )
-        return 0
-
-    if args.command == "check":
-        if not map_path.is_file():
-            print(f"error: no map at {map_path}", file=sys.stderr)
-            return 1
-        committed = tm.TestMap.load(map_path)
-        problems = tm.check_drift(committed, tm.build_map(root))
-        if problems:
-            print(
-                f"{map_path} has drifted from the working tree:",
-                file=sys.stderr,
-            )
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            print(
-                "rebuild with 'rehearsal testmap build'",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"{map_path} is up to date")
-        return 0
-
-    # select
-    if not map_path.is_file():
-        print(f"error: no map at {map_path}", file=sys.stderr)
-        return 2
-    try:
-        test_map = tm.TestMap.load(map_path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    selection = tm.select(
-        test_map, root, args.changed, map_path=args.map
-    )
-    if args.json:
-        print(json_mod.dumps(selection.to_dict(), indent=2))
-        return 0
-    fraction = selection.selected_fraction
-    print(
-        f"# mode: {selection.mode} "
-        f"({len(selection.tests) if selection.mode == 'subset' else selection.total_tests}"
-        f"/{selection.total_tests} test files, {fraction:.1%})"
-    )
-    try:
-        for reason in selection.reasons:
-            print(f"# reason: {reason}")
-        for test in selection.tests:
-            print(test)
-    except BrokenPipeError:
-        # The consumer (head, xargs) closed the pipe early; the
-        # selection itself succeeded.  Point stdout at devnull so the
-        # interpreter's exit-time flush doesn't raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
-
-
-# -- rehearsal burnin ---------------------------------------------------------
-
-
-def build_burnin_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rehearsal burnin",
-        description=(
-            "Replay every quarantined fuzz reproducer repeatedly "
-            "under a sequential probability ratio test: promote "
-            "stable ones into the pinned regression corpus (with a "
-            "machine-readable promotion record in promotions.json), "
-            "demote flaky ones aside with a flake-rate estimate."
-        ),
-        epilog=(
-            "Exit codes: 0 — every processed file promoted (or the "
-            "quarantine was empty); 1 — something demoted, invalid, "
-            "or undecided; 2 — bad invocation."
-        ),
-    )
-    parser.add_argument(
-        "--quarantine",
-        default="tests/regressions/quarantine",
-        help="quarantine directory (default: "
-        "tests/regressions/quarantine)",
-    )
-    parser.add_argument(
-        "--pinned",
-        default="tests/regressions",
-        help="pinned corpus directory promotions move into "
-        "(default: tests/regressions)",
-    )
-    parser.add_argument(
-        "--base-seed",
-        type=int,
-        default=0,
-        help="oracle seed of trial 0; trial i uses base+i "
-        "(default: 0)",
-    )
-    parser.add_argument(
-        "--max-trials",
-        type=int,
-        default=None,
-        help="cap on trials per file before 'undecided' "
-        "(default: 40)",
-    )
-    parser.add_argument(
-        "--p-stable",
-        type=float,
-        default=None,
-        help="pass probability under the 'stable' hypothesis "
-        "(default: 0.99)",
-    )
-    parser.add_argument(
-        "--p-flaky",
-        type=float,
-        default=None,
-        help="pass probability under the 'flaky' hypothesis "
-        "(default: 0.70)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="decide but move nothing and write no ledger",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="FILE",
-        default=None,
-        help="also write the full burn-in report as JSON",
-    )
-    return parser
-
-
-def run_burnin(argv) -> int:
-    from repro.testing.orchestrate.burnin import burn_in
-    from repro.testing.orchestrate.sprt import SprtConfig
-
-    args = build_burnin_parser().parse_args(argv)
-    quarantine = OsPath(args.quarantine)
-    if not quarantine.is_dir():
-        print(
-            f"error: no quarantine directory: {quarantine}",
-            file=sys.stderr,
-        )
-        return 2
-    overrides = {
-        key: value
-        for key, value in (
-            ("max_trials", args.max_trials),
-            ("p_stable", args.p_stable),
-            ("p_flaky", args.p_flaky),
-        )
-        if value is not None
-    }
-    try:
-        config = SprtConfig(**overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = burn_in(
-        quarantine,
-        OsPath(args.pinned),
-        config=config,
-        apply=not args.dry_run,
-        base_seed=args.base_seed,
-        progress=lambda message: print(f"  {message}"),
-    )
-    if args.json is not None:
-        OsPath(args.json).write_text(report.to_json(), encoding="utf8")
-    promoted, demoted = report.promoted, report.demoted
-    undecided, invalid = report.undecided, report.invalid
-    print(
-        f"burn-in over {len(report.records)} quarantined file(s): "
-        f"{len(promoted)} promoted, {len(demoted)} demoted, "
-        f"{len(undecided)} undecided, {len(invalid)} invalid"
-        + (" (dry run, nothing moved)" if args.dry_run else "")
-    )
-    for record in demoted:
-        print(
-            f"  flaky: {record.file} "
-            f"(flake rate {record.flake_rate:.0%} over "
-            f"{record.trials} trials)",
-            file=sys.stderr,
-        )
-    for record in invalid:
-        for problem in record.problems:
-            print(f"  invalid: {problem}", file=sys.stderr)
-    return 0 if not (demoted or undecided or invalid) else 1
-
-
-# -- rehearsal testreport -----------------------------------------------------
-
-
-def build_testreport_parser() -> argparse.ArgumentParser:
-    from repro.testing.orchestrate.testmap import DEFAULT_MAP_PATH
-
-    parser = argparse.ArgumentParser(
-        prog="rehearsal testreport",
-        description=(
-            "Render the per-test results database (written by the "
-            "REHEARSAL_RESULTS_DB pytest hook) as an HTML report "
-            "with per-module duration trends, plus an SVG DAG of "
-            "the module-to-test import graph from the committed "
-            "test map."
-        ),
-    )
-    parser.add_argument(
-        "--db",
-        required=True,
-        help="results database (created empty if missing)",
-    )
-    parser.add_argument(
-        "--out",
-        default="test-report",
-        help="output directory (default: test-report)",
-    )
-    parser.add_argument(
-        "--map",
-        default=DEFAULT_MAP_PATH,
-        help="test map for the DAG; skipped if the file is absent "
-        f"(default: {DEFAULT_MAP_PATH})",
-    )
-    parser.add_argument(
-        "--trend-runs",
-        type=int,
-        default=20,
-        help="runs to include in the duration trends (default: 20)",
-    )
-    return parser
-
-
-def run_testreport(argv) -> int:
-    from repro.testing.orchestrate.report import write_report
-
-    args = build_testreport_parser().parse_args(argv)
-    if args.trend_runs < 1:
-        print("error: --trend-runs must be >= 1", file=sys.stderr)
-        return 2
-    written = write_report(
-        OsPath(args.db),
-        OsPath(args.out),
-        map_path=args.map,
-        trend_runs=args.trend_runs,
-    )
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
 # -- dispatch -----------------------------------------------------------------
 
 
@@ -1596,12 +1263,6 @@ def main(argv=None) -> int:
         return run_fuzz(argv[1:])
     if argv and argv[0] == "lint":
         return run_lint(argv[1:])
-    if argv and argv[0] == "testmap":
-        return run_testmap(argv[1:])
-    if argv and argv[0] == "burnin":
-        return run_burnin(argv[1:])
-    if argv and argv[0] == "testreport":
-        return run_testreport(argv[1:])
     if argv and argv[0] == "verify":
         argv = argv[1:]
     return run_verify(argv)

@@ -8,7 +8,9 @@ external SAT-competition solver — see docs/solver.md)."""
 
 from importlib import import_module
 
-#: name -> defining module (parsed by the testmap import scanner).
+#: name -> defining module.  Only the named module is imported on
+#: first access, which keeps the one-shot CLI's import cost down
+#: (checked by tests/test_import_graph.py).
 _LAZY_EXPORTS = {
     "ExternalBackend": "repro.sat.external",
     "SolveResult": "repro.sat.solver",

@@ -20,7 +20,9 @@ behind a content-addressed verdict cache.
 
 from importlib import import_module
 
-#: name -> defining module (parsed by the testmap import scanner).
+#: name -> defining module.  Only the named module is imported on
+#: first access, which keeps the one-shot CLI's import cost down
+#: (checked by tests/test_import_graph.py).
 _LAZY_EXPORTS = {
     "BatchReport": "repro.service.schema",
     "BatchVerifier": "repro.service.orchestrator",

@@ -11,22 +11,19 @@ The subsystem behind ``rehearsal fuzz`` (and the nightly CI fuzz job):
 * :mod:`repro.testing.regressions` — the committed-reproducer format
   shared by ``tests/regressions/`` and ``tools/check_regressions.py``;
 * :mod:`repro.testing.replay` — single-reproducer replay through the
-  differential pipeline (``rehearsal fuzz --replay``, and the burn-in
-  executor);
-* :mod:`repro.testing.orchestrate` — fleet test orchestration:
-  dependency-aware selection, SPRT burn-in promotion, results database
-  and HTML/DAG reporting (see docs/testing.md).
+  differential pipeline (``rehearsal fuzz --replay``, and the
+  regression replay test).
 
-Like :mod:`repro` itself, this package init is lazy (PEP 562): the
-``_LAZY_EXPORTS`` table below is a static literal the test-selection
-import scanner resolves, so ``from repro.testing import run_oracle``
-depends on :mod:`repro.testing.oracle` alone — not on the shrinker,
-the generator, and everything they import.
+Like :mod:`repro` itself, this package init is lazy (PEP 562): ``from
+repro.testing import run_oracle`` imports :mod:`repro.testing.oracle`
+alone — not the shrinker, the generator, and everything they import.
 """
 
 from importlib import import_module
 
-#: name -> defining module (parsed by the testmap import scanner).
+#: name -> defining module.  Only the named module is imported on
+#: first access, which keeps the one-shot CLI's import cost down
+#: (checked by tests/test_import_graph.py).
 _LAZY_EXPORTS = {
     "BUG_CLASSES": "repro.testing.generate",
     "CASES_PER_SECOND": "repro.testing.differential",

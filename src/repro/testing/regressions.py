@@ -129,9 +129,8 @@ def validate_header(text: str, name: str = "<regression>") -> List[str]:
 
     Unlike :func:`parse_header` (which raises on the first problem so
     replay can bail early), this returns *every* problem with a
-    per-field message — ``tools/check_regressions.py`` and the burn-in
-    driver report them all at once.  An empty list means the header is
-    well formed.
+    per-field message — ``tools/check_regressions.py`` reports them all
+    at once.  An empty list means the header is well formed.
     """
     problems: List[str] = []
     lines = text.splitlines()

@@ -1,10 +1,9 @@
 """Replay one committed fuzz reproducer through the differential
 pipeline.
 
-``rehearsal fuzz --replay <reproducer.pp>`` (and the SPRT burn-in
-driver, which calls :func:`replay_file` once per trial) re-runs a
-single reproducer exactly the way ``tests/test_regressions.py``
-replays the whole corpus: parse the machine-readable header, push the
+``rehearsal fuzz --replay <reproducer.pp>`` re-runs a single
+reproducer exactly the way ``tests/test_regressions.py`` replays the
+whole corpus: parse the machine-readable header, push the
 manifest through :func:`repro.testing.differential.run_source`, and
 check that
 
@@ -15,8 +14,9 @@ check that
   ``none``).
 
 The oracle seed defaults to the header's ``seed`` but can be varied
-per call — burn-in trials each use a different seed so every replay
-samples a fresh slice of the oracle's initial-state space.
+per call, so each replay samples a different slice of the oracle's
+initial-state space — the regression test replays every reproducer
+under seeds 0–8 as well as its header seed.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def replay_file(
     name: Optional[str] = None,
 ) -> ReplayResult:
     """Replay the reproducer at ``path``; never raises on a bad file —
-    header/IO problems land in ``result.problems`` so burn-in can
-    treat them as failing trials with a reason."""
+    header/IO problems land in ``result.problems`` so callers can
+    report them as failed replays with a reason."""
     path = Path(path)
     display = name or path.name
     result = ReplayResult(path=str(path))

@@ -38,8 +38,9 @@ class TestStableSurface:
             assert getattr(repro, name) is not None, name
 
     def test_lazy_targets_define_their_names(self):
-        """Each export must live in the module the table claims — the
-        contract the testmap import scanner relies on."""
+        """Each export must live in the module the table claims, so
+        first access imports that module alone — what keeps the
+        one-shot CLI's import cost down (tests/test_import_graph.py)."""
         import importlib
 
         for name, target in repro._LAZY_EXPORTS.items():

@@ -6,7 +6,6 @@ on the shipped corpus, red on seeded corruption.
 """
 
 import importlib.util
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -124,15 +123,8 @@ def tool_on_corpus_copy(tmp_path, monkeypatch, capsys):
         (corpus / source.name).write_text(
             source.read_text(encoding="utf8"), encoding="utf8"
         )
-    (corpus / "promotions.json").write_text(
-        (CORPUS / "promotions.json").read_text(encoding="utf8"),
-        encoding="utf8",
-    )
     module = load_tool()
     monkeypatch.setattr(module, "REGRESSION_DIR", corpus)
-    monkeypatch.setattr(
-        module, "QUARANTINE_DIR", corpus / "quarantine"
-    )
     monkeypatch.setattr(
         module,
         "_replay_parametrization",
@@ -174,42 +166,3 @@ class TestGuard:
             encoding="utf8",
         )
         assert module.main() == 1
-
-    def test_red_when_a_pinned_file_is_edited_after_promotion(
-        self, tool_on_corpus_copy, capsys
-    ):
-        module, corpus = tool_on_corpus_copy
-        victim = sorted(corpus.glob("*.pp"))[0]
-        victim.write_text(
-            victim.read_text(encoding="utf8")
-            + '\nfile {"/tmp/extra": content => "1" }\n',
-            encoding="utf8",
-        )
-        assert module.main() == 1
-        assert "re-run" in capsys.readouterr().err
-
-    def test_red_when_the_ledger_is_missing(self, tool_on_corpus_copy):
-        module, corpus = tool_on_corpus_copy
-        (corpus / "promotions.json").unlink()
-        assert module.main() == 1
-
-    def test_red_on_a_malformed_quarantined_candidate(
-        self, tool_on_corpus_copy
-    ):
-        module, corpus = tool_on_corpus_copy
-        quarantine = corpus / "quarantine"
-        quarantine.mkdir()
-        (quarantine / "candidate.pp").write_text(
-            "# rehearsal-fuzz reproducer\n# seed: x\n"
-        )
-        assert module.main() == 1
-
-    def test_green_with_a_wellformed_quarantined_candidate(
-        self, tool_on_corpus_copy, capsys
-    ):
-        module, corpus = tool_on_corpus_copy
-        quarantine = corpus / "quarantine"
-        quarantine.mkdir()
-        (quarantine / "candidate.pp").write_text(GOOD_HEADER)
-        assert module.main() == 0
-        assert "awaiting burn-in" in capsys.readouterr().out

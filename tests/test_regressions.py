@@ -6,7 +6,9 @@ pipeline/oracle disagreements (see ``docs/fuzzing.md``).  Each must:
 * parse and carry a well-formed machine-readable header;
 * produce the pinned verdict from the *current* pipeline;
 * show **no** disagreement between the pipeline and the concrete
-  oracle — the bug that minted the file must stay fixed.
+  oracle — the bug that minted the file must stay fixed — under its
+  header seed and under each of ``ORACLE_SEEDS``, so a fix that only
+  holds for one slice of the oracle's initial states does not pass.
 
 ``tools/check_regressions.py`` cross-checks this test's discovery
 against the directory contents in CI, so a dropped file cannot
@@ -30,15 +32,31 @@ from repro.testing.regressions import (
 REGRESSION_DIR = Path(__file__).parent / "regressions"
 REGRESSIONS = discover(REGRESSION_DIR)
 
+#: Oracle seeds every reproducer is replayed under besides its header
+#: seed; each samples a different set of initial filesystems.
+ORACLE_SEEDS = range(9)
+
+#: (path, oracle seed) replays; ``None`` means the header's seed and
+#: keeps the bare file stem as its test id.
+REPLAYS = [
+    pytest.param(
+        path,
+        seed,
+        id=path.stem if seed is None else f"{path.stem}-oracle{seed}",
+    )
+    for path in REGRESSIONS
+    for seed in (None, *ORACLE_SEEDS)
+]
+
 
 def test_corpus_is_not_empty():
     assert REGRESSIONS, "tests/regressions/ must hold reproducers"
 
 
-@pytest.mark.parametrize(
-    "path", REGRESSIONS, ids=[p.stem for p in REGRESSIONS]
-)
 class TestReplay:
+    @pytest.mark.parametrize(
+        "path", REGRESSIONS, ids=[p.stem for p in REGRESSIONS]
+    )
     def test_parses_with_header(self, path):
         text = path.read_text(encoding="utf8")
         header = parse_header(text, path.name)
@@ -55,25 +73,27 @@ class TestReplay:
         )
         parse_manifest(text)
 
-    def test_no_disagreement_and_pinned_verdict(self, path):
+    @pytest.mark.parametrize("path, oracle_seed", REPLAYS)
+    def test_no_disagreement_and_pinned_verdict(self, path, oracle_seed):
         text = path.read_text(encoding="utf8")
         header = parse_header(text, path.name)
-        outcome = run_source(
-            text, name=path.name, oracle_seed=header.seed
-        )
+        if oracle_seed is None:
+            oracle_seed = header.seed
+        outcome = run_source(text, name=path.name, oracle_seed=oracle_seed)
+        where = f"{path.name} (oracle seed {oracle_seed})"
         assert outcome.agreed, (
-            f"{path.name}: the disagreement this reproducer was minted "
+            f"{where}: the disagreement this reproducer was minted "
             f"for is back: {outcome.kinds()}"
         )
         assert (
             outcome.pipeline_deterministic
             == header.expected_deterministic
-        ), f"{path.name}: pinned determinism verdict changed"
+        ), f"{where}: pinned determinism verdict changed"
         if header.expected_idempotent is not None:
             assert (
                 outcome.pipeline_idempotent
                 == header.expected_idempotent
-            ), f"{path.name}: pinned idempotence verdict changed"
+            ), f"{where}: pinned idempotence verdict changed"
 
 
 class TestHeaderFormat:

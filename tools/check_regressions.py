@@ -13,22 +13,13 @@ Asserts, for every committed reproducer:
 3. it parses as a Puppet manifest;
 4. it is referenced by the replay test: the discovery the test
    parametrizes over must return exactly the files on disk, so a
-   reproducer can neither be skipped silently nor linger unreplayed;
-5. it carries a promotion record in ``promotions.json`` whose SHA-256
-   matches the file — pinned reproducers only enter through
-   ``rehearsal burnin``, and hand-edits after promotion invalidate
-   the record (re-burn-in to re-mint it).
-
-Quarantined reproducers (``tests/regressions/quarantine/``) get check
-1 only: they are candidates, not yet replayed or promoted, but a
-malformed candidate should fail CI before burn-in trips over it.
+   reproducer can neither be skipped silently nor linger unreplayed.
 
 Exit codes: 0 — corpus is sound; 1 — a check failed.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -37,11 +28,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.puppet.parser import parse_manifest  # noqa: E402
 from repro.testing.generate import GENERATOR_VERSION  # noqa: E402
-from repro.testing.orchestrate.burnin import (  # noqa: E402
-    LEDGER_NAME,
-    file_sha256,
-    load_ledger,
-)
 from repro.testing.regressions import (  # noqa: E402
     discover,
     parse_header,
@@ -49,7 +35,6 @@ from repro.testing.regressions import (  # noqa: E402
 )
 
 REGRESSION_DIR = REPO_ROOT / "tests" / "regressions"
-QUARANTINE_DIR = REGRESSION_DIR / "quarantine"
 REPLAY_TEST = REPO_ROOT / "tests" / "test_regressions.py"
 
 
@@ -71,29 +56,6 @@ def _replay_parametrization():
     if not isinstance(replayed, list):
         return None
     return set(replayed)
-
-
-def _promotion_index(failures):
-    """filename -> latest promotion record, from the ledger."""
-    ledger_path = REGRESSION_DIR / LEDGER_NAME
-    if not ledger_path.is_file():
-        failures.append(
-            f"no {LEDGER_NAME} ledger next to the pinned corpus; "
-            "pinned reproducers must enter through 'rehearsal burnin'"
-        )
-        return {}
-    try:
-        ledger = load_ledger(ledger_path)
-    except (ValueError, json.JSONDecodeError) as exc:
-        failures.append(f"{LEDGER_NAME}: unreadable: {exc}")
-        return {}
-    index = {}
-    for i, record in enumerate(ledger["records"]):
-        if not isinstance(record, dict) or "file" not in record:
-            failures.append(f"{LEDGER_NAME}: record #{i} has no 'file'")
-            continue
-        index[record["file"]] = record  # later records win
-    return index
 
 
 def main() -> int:
@@ -124,8 +86,6 @@ def main() -> int:
                 f"not referenced by the replay test: {unreplayed}"
             )
 
-    promotions = _promotion_index(failures)
-
     for path in discovered:
         text = path.read_text(encoding="utf8")
         problems = validate_header(text, path.name)
@@ -147,40 +107,11 @@ def main() -> int:
         except Exception as exc:  # noqa: BLE001 — report, don't crash
             failures.append(f"{path.name}: does not parse: {exc}")
             continue
-        record = promotions.get(path.name)
-        if record is None:
-            if promotions:
-                failures.append(
-                    f"{path.name}: no promotion record in "
-                    f"{LEDGER_NAME}; run 'rehearsal burnin'"
-                )
-        elif record.get("decision") != "promoted":
-            failures.append(
-                f"{path.name}: latest ledger record says "
-                f"{record.get('decision')!r}, not 'promoted'"
-            )
-        elif record.get("sha256") != file_sha256(path):
-            failures.append(
-                f"{path.name}: content differs from its promotion "
-                "record (edited after burn-in?); re-run "
-                "'rehearsal burnin' to re-mint the record"
-            )
         print(
             f"ok: {path.name} (seed {header.seed}, case "
             f"{header.case_id}, {header.disagreement}, expected "
             f"deterministic={header.expected_deterministic})"
         )
-
-    if QUARANTINE_DIR.is_dir():
-        for path in discover(QUARANTINE_DIR):
-            problems = validate_header(
-                path.read_text(encoding="utf8"),
-                f"quarantine/{path.name}",
-            )
-            if problems:
-                failures.extend(problems)
-            else:
-                print(f"ok: quarantine/{path.name} (awaiting burn-in)")
 
     if failures:
         print(
