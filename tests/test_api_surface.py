@@ -91,3 +91,39 @@ def test_retired_solver_knobs_are_gone():
             getattr(repro.sat, name)
     fields = {f.name for f in dataclasses.fields(DeterminismOptions)}
     assert not fields & {"portfolio", "solver_workers"}
+
+
+@pytest.mark.parametrize("name", sorted(repro._LAZY_EXPORTS))
+def test_root_export_is_its_defining_modules_object(name):
+    """``repro.X`` is the very object its table entry's module defines,
+    not a same-named stand-in imported from somewhere else."""
+    import importlib
+
+    target = importlib.import_module(repro._LAZY_EXPORTS[name])
+    assert getattr(repro, name) is getattr(target, name)
+
+
+def test_retired_test_orchestration_is_gone():
+    """Test selection, burn-in and the results store were removed with
+    ``repro.testing.orchestrate``; nothing may still resolve to them."""
+    import importlib
+
+    import repro.testing
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.testing.orchestrate")
+    assert not any(
+        target.startswith("repro.testing.orchestrate")
+        for package in (repro, repro.testing)
+        for target in package._LAZY_EXPORTS.values()
+    )
+
+
+@pytest.mark.parametrize("action", ["testmap", "burnin", "testreport"])
+def test_retired_subcommands_fail_loudly(action, capsys):
+    """The retired subcommands are not verbs any more: the CLI reads
+    the word as a manifest path and fails with a usage error."""
+    from repro.core.cli import main as cli_main
+
+    assert cli_main([action]) == 2
+    assert f"cannot read manifest {action}" in capsys.readouterr().err

@@ -166,3 +166,68 @@ class TestGuard:
             encoding="utf8",
         )
         assert module.main() == 1
+
+    def test_red_on_a_stale_generator_version(
+        self, tool_on_corpus_copy, capsys
+    ):
+        module, corpus = tool_on_corpus_copy
+        victim = sorted(corpus.glob("*.pp"))[0]
+        victim.write_text(
+            victim.read_text(encoding="utf8").replace(
+                "# generator-version: 1", "# generator-version: 999"
+            ),
+            encoding="utf8",
+        )
+        assert module.main() == 1
+        err = capsys.readouterr().err
+        assert f"{victim.name}: minted under generator v999" in err
+
+    def test_red_on_a_body_that_does_not_parse(
+        self, tool_on_corpus_copy, capsys
+    ):
+        module, corpus = tool_on_corpus_copy
+        victim = sorted(corpus.glob("*.pp"))[0]
+        victim.write_text(
+            victim.read_text(encoding="utf8") + "\nfile { '/x':\n",
+            encoding="utf8",
+        )
+        assert module.main() == 1
+        assert f"{victim.name}: does not parse" in capsys.readouterr().err
+
+    def test_red_on_a_reproducer_the_replay_test_skips(
+        self, tool_on_corpus_copy, monkeypatch, capsys
+    ):
+        module, corpus = tool_on_corpus_copy
+        skipped, *rest = sorted(corpus.glob("*.pp"))
+        monkeypatch.setattr(
+            module, "_replay_parametrization", lambda: set(rest)
+        )
+        assert module.main() == 1
+        err = capsys.readouterr().err
+        assert "not referenced by the replay test" in err
+        assert skipped.name in err
+
+    def test_red_when_the_replay_test_cannot_be_imported(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        module = load_tool()
+        broken = tmp_path / "test_regressions.py"
+        broken.write_text("raise ImportError('broken on purpose')\n")
+        monkeypatch.setattr(module, "REPLAY_TEST", broken)
+        assert module.main() == 1
+        assert "cannot import test_regressions.py" in capsys.readouterr().err
+
+    def test_red_on_an_empty_corpus(self, tool_on_corpus_copy, capsys):
+        module, corpus = tool_on_corpus_copy
+        for path in corpus.glob("*.pp"):
+            path.unlink()
+        assert module.main() == 1
+        assert "holds no reproducers" in capsys.readouterr().err
+
+    def test_red_when_the_corpus_directory_is_missing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        module = load_tool()
+        monkeypatch.setattr(module, "REGRESSION_DIR", tmp_path / "gone")
+        assert module.main() == 1
+        assert "does not exist" in capsys.readouterr().err

@@ -100,3 +100,12 @@ class TestCli:
         code = cli_main(["fuzz", "--replay", str(path)])
         assert code == 1
         assert "REPLAY FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path", sorted(CORPUS.glob("*.pp")), ids=lambda p: p.stem
+    )
+    def test_every_committed_reproducer_replays_clean(self, path, capsys):
+        """The manual tool confirms each file the suite pins, so
+        ``rehearsal fuzz --replay`` is a faithful way to re-check one."""
+        assert cli_main(["fuzz", "--replay", str(path)]) == 0
+        assert "still fixed" in capsys.readouterr().out

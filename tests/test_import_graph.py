@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules the verify path must never import.
@@ -47,3 +49,37 @@ def test_verify_incremental_imports_no_pool_loop_or_graph_library(tmp_path):
     probe = json.loads(result.stdout.splitlines()[-1])
     assert probe["code"] == 0 and probe["verdicts"], probe
     assert probe["loaded"] == [], probe
+
+
+#: Packages whose init re-exports through a ``_LAZY_EXPORTS`` table.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.sat",
+    "repro.service",
+    "repro.testing",
+)
+
+LAZY_PROBE = """
+import importlib, json, sys
+package = importlib.import_module(sys.argv[1])
+targets = set(package._LAZY_EXPORTS.values()) - {sys.argv[1]}
+print(json.dumps(sorted(targets & set(sys.modules))))
+"""
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_package_import_loads_none_of_its_lazy_targets(package):
+    """Importing a package binds its table, not the modules it names:
+    a name's defining module loads on first access, so ``import
+    repro.service`` does not drag in the daemon or the process pool."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE, package],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []

@@ -95,6 +95,31 @@ class TestReplay:
                 == header.expected_idempotent
             ), f"{where}: pinned idempotence verdict changed"
 
+    def test_oracle_seeds_sample_states_the_header_seed_does_not(self):
+        """The replays under ``ORACLE_SEEDS`` are not copies of the
+        header-seed one: for some reproducers they hand the oracle
+        initial filesystems the header seed never draws.  (A tiny
+        footprint can leave nothing new to draw.)"""
+        from repro.core.pipeline import Rehearsal
+        from repro.testing.oracle import initial_state_family
+
+        widened = {}
+        for path in REGRESSIONS:
+            text = path.read_text(encoding="utf8")
+            header = parse_header(text, path.name)
+            _, programs = Rehearsal().compile(text)
+            base = set(
+                initial_state_family(programs.values(), seed=header.seed)
+            )
+            extra = set().union(
+                *(
+                    initial_state_family(programs.values(), seed=seed)
+                    for seed in ORACLE_SEEDS
+                )
+            )
+            widened[path.stem] = len(extra - base)
+        assert any(widened.values()), widened
+
 
 class TestHeaderFormat:
     def test_round_trip(self):
