@@ -27,6 +27,7 @@ from typing import Dict, FrozenSet, Optional, Tuple, Union
 from repro.fs import syntax as fx
 from repro.fs.domain import fresh_child_of, pred_domain
 from repro.fs.paths import Path
+from repro.node import Node, setfield
 
 
 class _Bot:
@@ -43,21 +44,25 @@ BOT = _Bot()
 TOP = _Top()
 
 
-@dataclass(frozen=True)
-class ADir:
+class ADir(Node):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "dir"
 
 
-@dataclass(frozen=True)
-class ADne:
+class ADne(Node):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "dne"
 
 
-@dataclass(frozen=True)
-class AFile:
-    content: str
+class AFile(Node):
+    __slots__ = ("content",)
+
+    def __init__(self, content: str) -> None:
+        setfield(self, "content", content)
 
     def __repr__(self) -> str:
         return f"file({self.content!r})"
@@ -81,12 +86,16 @@ def _join(a: AbsVal, b: AbsVal) -> AbsVal:
     return TOP
 
 
-@dataclass(frozen=True)
-class WriteProfile:
+class WriteProfile(Node):
     """Summary of one resource's effect on one path."""
 
-    value: AbsVal
-    condition_paths: FrozenSet[Path]
+    __slots__ = ("value", "condition_paths")
+
+    def __init__(
+        self, value: AbsVal, condition_paths: FrozenSet[Path]
+    ) -> None:
+        setfield(self, "value", value)
+        setfield(self, "condition_paths", condition_paths)
 
     @property
     def is_definite(self) -> bool:

@@ -37,7 +37,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.commutativity import (
     Footprint,
@@ -45,7 +53,6 @@ from repro.analysis.commutativity import (
     footprint,
 )
 from repro.analysis.elimination import EliminationReport, eliminate_resources
-from repro.analysis.localize import RaceReport, localize_race
 from repro.analysis.pruning import PruneReport, prune_manifest
 from repro.digraph import DiGraph, descendants, topological_sort
 from repro.errors import AnalysisBudgetExceeded
@@ -54,7 +61,6 @@ from repro.fs import syntax as fx
 from repro.logic.terms import TermBank
 from repro.sat.backend import parse_backend_spec
 from repro.smt.encoder import apply_expr
-from repro.smt.model import decode_filesystem
 from repro.smt.query import IncrementalQuery
 from repro.smt.state import (
     SymbolicState,
@@ -63,6 +69,9 @@ from repro.smt.state import (
     states_differ,
 )
 from repro.smt.values import PathDomains
+
+if TYPE_CHECKING:
+    from repro.analysis.localize import RaceReport
 
 NodeId = Hashable
 
@@ -797,6 +806,9 @@ def check_determinism(
         if inc is not None:
             inc.record_root(DeterminismResult(True, stats))
         return DeterminismResult(True, stats)
+
+    from repro.analysis.localize import localize_race
+    from repro.smt.model import decode_filesystem
 
     witness = decode_filesystem(domains, result.named_model)
     orders = _diverging_orders(

@@ -15,7 +15,6 @@ from repro.fs import FileSystem
 from repro.fs import syntax as fx
 from repro.logic.terms import TermBank
 from repro.smt.encoder import apply_expr
-from repro.smt.model import decode_filesystem
 from repro.smt.query import Query
 from repro.smt.state import initial_constraints, initial_state, states_differ
 from repro.smt.values import PathDomains
@@ -74,6 +73,8 @@ def check_equivalence(
             total_seconds=elapsed,
             cnf_cache_hits=query.cnf_cache_hits,
         )
+    from repro.smt.model import decode_filesystem
+
     witness = decode_filesystem(domains, result.named_model)
     return EquivalenceResult(
         False,

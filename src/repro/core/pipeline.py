@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.determinism import (
     DeterminismOptions,
@@ -18,17 +18,15 @@ from repro.analysis.determinism import (
     check_determinism,
 )
 from repro.analysis.idempotence import IdempotenceResult, check_idempotence
-from repro.analysis.invariants import (
-    FinalStateProperty,
-    InvariantResult,
-    check_invariant,
-)
 from repro.digraph import DiGraph, topological_sort
 from repro.errors import ReproError
 from repro.fs import Expr, seq
 from repro.puppet.evaluator import Evaluator
 from repro.puppet.parser import parse_manifest
 from repro.resources.compiler import ModelContext, ResourceCompiler
+
+if TYPE_CHECKING:
+    from repro.analysis.invariants import FinalStateProperty, InvariantResult
 
 
 @dataclass
@@ -163,6 +161,8 @@ class Rehearsal:
     def check_invariant(
         self, source: str, prop: FinalStateProperty, extra_paths=()
     ) -> InvariantResult:
+        from repro.analysis.invariants import check_invariant
+
         graph, programs = self.compile(source)
         order = topological_sort(graph)
         e = seq(*[programs[n] for n in order])

@@ -7,7 +7,6 @@ from typing import List
 from repro.analysis.determinism import DeterminismResult
 from repro.analysis.idempotence import IdempotenceResult
 from repro.core.pipeline import VerificationReport
-from repro.smt.model import describe_filesystem
 
 
 def _declaration_lines(
@@ -92,7 +91,7 @@ def render_determinism(
             )
         if result.witness_fs is not None:
             lines.append("Witness initial filesystem:")
-            lines.append(_indent(describe_filesystem(result.witness_fs)))
+            lines.append(_describe_fs(result.witness_fs))
         if result.witness_orders is not None:
             order1, order2 = result.witness_orders
             lines.append("Diverging orders:")
@@ -159,7 +158,7 @@ def render_idempotence(result: IdempotenceResult) -> str:
     lines = ["NOT IDEMPOTENT: a second run behaves differently."]
     if result.witness_fs is not None:
         lines.append("Witness initial filesystem:")
-        lines.append(_indent(describe_filesystem(result.witness_fs)))
+        lines.append(_describe_fs(result.witness_fs))
     return "\n".join(lines)
 
 
@@ -258,7 +257,15 @@ def _describe_outcome(outcome) -> str:
 
     if outcome is ERROR:
         return "error"
-    return f"success; final state:\n{_indent(describe_filesystem(outcome))}"
+    return f"success; final state:\n{_describe_fs(outcome)}"
+
+
+def _describe_fs(fs) -> str:
+    """A witness or outcome filesystem, indented (the model decoder
+    loads only when a verdict has one to show)."""
+    from repro.smt.model import describe_filesystem
+
+    return _indent(describe_filesystem(fs))
 
 
 def _indent(text: str, prefix: str = "    ") -> str:

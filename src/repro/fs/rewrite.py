@@ -14,31 +14,32 @@ verify this both concretely and via the SAT-backed equivalence check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from repro.fs import syntax as fx
 from repro.fs.paths import Path
+from repro.node import Node, setfield
 
 
-@dataclass(frozen=True)
-class KDir:
-    pass
+class KDir(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KDne:
-    pass
+class KDne(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KFile:
-    content: Optional[str]  # None = file with unknown content
+class KFile(Node):
+    __slots__ = ("content",)
+
+    def __init__(self, content: Optional[str]) -> None:
+        setfield(self, "content", content)  # None = file with unknown content
 
 
-@dataclass(frozen=True)
-class KExists:
+class KExists(Node):
     """The path exists but its kind is unknown (from ``¬none?``)."""
+
+    __slots__ = ()
 
 
 K_DIR = KDir()

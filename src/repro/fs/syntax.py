@@ -4,27 +4,28 @@ FS is a loop-free imperative language of filesystem operations.
 Expressions denote functions from filesystems to a filesystem or the
 error state; predicates denote boolean functions of the filesystem.
 
-Everything is an immutable, hashable dataclass, so expressions can be
-used as dictionary keys and shared freely.  Constructors are exposed
-both as classes (``Mkdir(p)``) and lowercase helpers matching the
-paper's notation (``mkdir(p)``, ``seq(...)``, ``ite(a, e1, e2)``).
+Every node is an immutable, hashable :class:`repro.node.Node` value,
+so expressions can be used as dictionary keys and shared freely.
+Constructors are exposed both as classes (``Mkdir(p)``) and lowercase
+helpers matching the paper's notation (``mkdir(p)``, ``seq(...)``, ``ite(a, e1, e2)``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from repro.fs.paths import Path
+from repro.node import Node, setfield
 
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pred:
+class Pred(Node):
     """Base class for FS predicates."""
+
+    __slots__ = ()
 
     def __and__(self, other: "Pred") -> "Pred":
         return pand(self, other)
@@ -36,45 +37,50 @@ class Pred:
         return pnot(self)
 
 
-@dataclass(frozen=True)
 class PTrue(Pred):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PFalse(Pred):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IsNone(Pred):
     """``none?(p)`` — the path does not exist."""
 
-    path: Path
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path) -> None:
+        setfield(self, "path", path)
 
 
-@dataclass(frozen=True)
 class IsFile(Pred):
     """``file?(p)`` — the path is a regular file."""
 
-    path: Path
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path) -> None:
+        setfield(self, "path", path)
 
 
-@dataclass(frozen=True)
 class IsDir(Pred):
     """``dir?(p)`` — the path is a directory."""
 
-    path: Path
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path) -> None:
+        setfield(self, "path", path)
 
 
-@dataclass(frozen=True)
 class IsEmptyDir(Pred):
     """``emptydir?(p)`` — a directory with no children."""
 
-    path: Path
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path) -> None:
+        setfield(self, "path", path)
 
 
-@dataclass(frozen=True)
 class IsFileWith(Pred):
     """``filecontains?(p, s)`` — a regular file with exactly content ``s``.
 
@@ -83,25 +89,34 @@ class IsFileWith(Pred):
     resources) and by the §5 invariant checker.  It preserves finiteness.
     """
 
-    path: Path
-    content: str
+    __slots__ = ("path", "content")
+
+    def __init__(self, path: Path, content: str) -> None:
+        setfield(self, "path", path)
+        setfield(self, "content", content)
 
 
-@dataclass(frozen=True)
 class PNot(Pred):
-    inner: Pred
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Pred) -> None:
+        setfield(self, "inner", inner)
 
 
-@dataclass(frozen=True)
 class PAnd(Pred):
-    left: Pred
-    right: Pred
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Pred, right: Pred) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
 class POr(Pred):
-    left: Pred
-    right: Pred
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Pred, right: Pred) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
 TRUE = PTrue()
@@ -165,9 +180,10 @@ def file_with(p: Path, content: str) -> Pred:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Node):
     """Base class for FS expressions."""
+
+    __slots__ = ()
 
     def then(self, other: "Expr") -> "Expr":
         return seq(self, other)
@@ -176,62 +192,78 @@ class Expr:
         return seq(self, other)
 
 
-@dataclass(frozen=True)
 class Id(Expr):
     """``id`` — no-op."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Err(Expr):
     """``err`` — halt with error."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Mkdir(Expr):
     """``mkdir(p)`` — create a directory (parent must be a directory,
     target must not exist)."""
 
-    path: Path
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path) -> None:
+        setfield(self, "path", path)
 
 
-@dataclass(frozen=True)
 class Creat(Expr):
     """``creat(p, str)`` — create a file with the given content."""
 
-    path: Path
-    content: str
+    __slots__ = ("path", "content")
+
+    def __init__(self, path: Path, content: str) -> None:
+        setfield(self, "path", path)
+        setfield(self, "content", content)
 
 
-@dataclass(frozen=True)
 class Rm(Expr):
     """``rm(p)`` — remove a file or an empty directory."""
 
-    path: Path
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path) -> None:
+        setfield(self, "path", path)
 
 
-@dataclass(frozen=True)
 class Cp(Expr):
     """``cp(src, dst)`` — copy a regular file to a fresh destination."""
 
-    src: Path
-    dst: Path
+    __slots__ = ("src", "dst")
+
+    def __init__(self, src: Path, dst: Path) -> None:
+        setfield(self, "src", src)
+        setfield(self, "dst", dst)
 
 
-@dataclass(frozen=True)
 class Seq(Expr):
     """``e1; e2``."""
 
-    first: Expr
-    second: Expr
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Expr, second: Expr) -> None:
+        setfield(self, "first", first)
+        setfield(self, "second", second)
 
 
-@dataclass(frozen=True)
 class If(Expr):
     """``if (a) e1 else e2``."""
 
-    pred: Pred
-    then_branch: Expr
-    else_branch: Expr
+    __slots__ = ("pred", "then_branch", "else_branch")
+
+    def __init__(
+        self, pred: Pred, then_branch: Expr, else_branch: Expr
+    ) -> None:
+        setfield(self, "pred", pred)
+        setfield(self, "then_branch", then_branch)
+        setfield(self, "else_branch", else_branch)
 
 
 ID = Id()

@@ -51,11 +51,11 @@ from repro import __version__
 from repro.analysis.commutativity import Footprint, footprint, footprints_commute
 from repro.analysis.equivalence import check_equivalence
 from repro.analysis.idempotence import IdempotenceResult, check_idempotence
-from repro.analysis.localize import RaceReport
 from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem, eval_expr, seq
 from repro.fs import syntax as fx
 from repro.fs.paths import Path
+from repro.node import Node
 
 NodeId = Hashable
 
@@ -381,12 +381,15 @@ def expr_digest(e: fx.Expr) -> str:
 
 
 def _ast_repr(obj: object) -> str:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, Node):
         inner = ",".join(
-            f"{f.name}={_ast_repr(getattr(obj, f.name))}"
-            for f in dataclasses.fields(obj)
+            f"{name}={_ast_repr(getattr(obj, name))}" for name in obj._fields
         )
         return f"{type(obj).__name__}({inner})"
+    if isinstance(obj, Path):
+        # Spelled as the field walk spells a node, as persisted keys
+        # have always had it.
+        return f"Path(parts={_ast_repr(obj.parts)})"
     if isinstance(obj, str):
         return repr(obj)
     if isinstance(obj, (tuple, list)):
@@ -860,6 +863,8 @@ class DetIncremental:
         if raw_race is not None:
             if not isinstance(raw_race, dict):
                 return None
+            from repro.analysis.localize import RaceReport
+
             try:
                 race = RaceReport(
                     resource_a=raw_race["a"],

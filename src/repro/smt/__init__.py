@@ -1,55 +1,58 @@
 """Finite-domain symbolic execution of FS programs (the paper's Fig. 7
 encoding) plus SAT-query plumbing and model decoding."""
 
-from repro.smt.encoder import apply_expr, encode_pred
-from repro.smt.model import decode_filesystem, describe_filesystem
-from repro.smt.query import Query, check_sat
-from repro.smt.state import (
-    SymbolicState,
-    assignment_for_fs,
-    concrete_state,
-    initial_constraints,
-    initial_state,
-    states_differ,
-)
-from repro.smt.values import (
-    GENERIC_CONTENTS,
-    OMEGA_1,
-    OMEGA_2,
-    DomainValue,
-    PathDomains,
-    SymbolicValue,
-    V_DIR,
-    V_DNE,
-    VDir,
-    VDne,
-    VFile,
-    initial_var_name,
-)
+# Lazy (PEP 562), like repro.sat: the verify path imports the encoder,
+# state and query modules through this package and must not load the
+# model decoder, which runs only when a verdict has a witness to show.
 
-__all__ = [
-    "DomainValue",
-    "GENERIC_CONTENTS",
-    "OMEGA_1",
-    "OMEGA_2",
-    "PathDomains",
-    "Query",
-    "SymbolicState",
-    "SymbolicValue",
-    "V_DIR",
-    "V_DNE",
-    "VDir",
-    "VDne",
-    "VFile",
-    "apply_expr",
-    "assignment_for_fs",
-    "check_sat",
-    "concrete_state",
-    "decode_filesystem",
-    "describe_filesystem",
-    "encode_pred",
-    "initial_constraints",
-    "initial_state",
-    "initial_var_name",
-    "states_differ",
-]
+from importlib import import_module
+
+#: name -> defining module.  Only the named module is imported on
+#: first access (checked by tests/test_import_graph.py).
+_LAZY_EXPORTS = {
+    "DomainValue": "repro.smt.values",
+    "GENERIC_CONTENTS": "repro.smt.values",
+    "OMEGA_1": "repro.smt.values",
+    "OMEGA_2": "repro.smt.values",
+    "PathDomains": "repro.smt.values",
+    "Query": "repro.smt.query",
+    "SymbolicState": "repro.smt.state",
+    "SymbolicValue": "repro.smt.values",
+    "V_DIR": "repro.smt.values",
+    "V_DNE": "repro.smt.values",
+    "VDir": "repro.smt.values",
+    "VDne": "repro.smt.values",
+    "VFile": "repro.smt.values",
+    "apply_expr": "repro.smt.encoder",
+    "assignment_for_fs": "repro.smt.state",
+    "check_sat": "repro.smt.query",
+    "concrete_state": "repro.smt.state",
+    "decode_filesystem": "repro.smt.model",
+    "describe_filesystem": "repro.smt.model",
+    "encode_pred": "repro.smt.encoder",
+    "initial_constraints": "repro.smt.state",
+    "initial_state": "repro.smt.state",
+    "initial_var_name": "repro.smt.values",
+    "states_differ": "repro.smt.state",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+
+def __getattr__(name):
+    target = _LAZY_EXPORTS.get(name)
+    if target is not None:
+        return getattr(import_module(target), name)
+    qualified = f"{__name__}.{name}"
+    try:
+        return import_module(qualified)
+    except ModuleNotFoundError as exc:
+        if exc.name == qualified:
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}"
+            ) from None
+        raise
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

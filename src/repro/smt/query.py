@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.logic.cnf import CNF, TseitinEncoder
 from repro.logic.terms import Term, TermBank
-from repro.sat.preprocess import Preprocessed, preprocess
 from repro.sat.solver import Solver
+
+if TYPE_CHECKING:
+    from repro.sat.preprocess import Preprocessed
 
 #: One-shot queries below this clause count skip preprocessing: the
 #: pure-Python simplification passes cost more than the CDCL saves on
@@ -123,6 +125,8 @@ class Query:
         pre: Optional[Preprocessed] = None
         clauses = cnf.clauses
         if preprocessing:
+            from repro.sat.preprocess import preprocess
+
             pre = preprocess(
                 cnf.clauses, cnf.num_vars, frozen=cnf.var_ids.values()
             )
@@ -285,6 +289,8 @@ class IncrementalQuery:
                     len(self.cnf.clauses) >= PREPROCESS_MIN_CLAUSES
                 )
             if preprocessing:
+                from repro.sat.preprocess import preprocess
+
                 # Preprocess the whole database once, freezing the
                 # variables later calls may mention — named inputs and
                 # selectors.

@@ -59,7 +59,8 @@ class TestStableSurface:
 
 
 @pytest.mark.parametrize(
-    "package", ["repro.analysis", "repro.sat", "repro.service", "repro.testing"]
+    "package",
+    ["repro.analysis", "repro.sat", "repro.service", "repro.smt", "repro.testing"],
 )
 def test_lazy_subpackage_exports_resolve(package):
     """The subpackages use the same lazy table: every public name

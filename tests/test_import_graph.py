@@ -1,10 +1,14 @@
 """The one-shot CLI path imports only what it runs.
 
-A fresh ``rehearsal verify`` process pays for every module it imports,
-so the verify path must not load the batch orchestrator's process
-pool, the daemon's event loop, or a graph library.  The check is on
-module names in a fresh interpreter, not on timings, so it cannot
-flake.
+A fresh ``rehearsal verify`` process pays for every module it imports
+and for every dataclass those modules build (``dataclasses`` generates
+and ``exec``s each method's source at import, work the bytecode cache
+cannot keep).  So the verify path must not load the batch
+orchestrator's process pool, the daemon's event loop, a graph library,
+or the modules only a divergence or a large instance runs, and it
+builds no more dataclasses than recorded here.  The checks are on
+module names and a call count in a fresh interpreter, not on timings,
+so they cannot flake.
 """
 
 import json
@@ -17,11 +21,36 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Modules the verify path must never import.
-FORBIDDEN = ("networkx", "multiprocessing", "concurrent.futures", "asyncio")
+#: Modules the verify path must never import: the pool, the event loop
+#: and the graph library, then the modules a deterministic, idempotent
+#: verify never runs (race localization and witness decoding run on a
+#: divergence, CNF preprocessing above 6,000 clauses, invariants only
+#: on request).
+FORBIDDEN = (
+    "networkx",
+    "multiprocessing",
+    "concurrent.futures",
+    "asyncio",
+    "repro.analysis.localize",
+    "repro.sat.preprocess",
+    "repro.smt.model",
+    "repro.analysis.invariants",
+)
+
+#: Dataclasses built by ``import repro.core.cli`` plus one incremental
+#: verify of ntp-fixed.pp.  The syntax trees and lattice values are
+#: :class:`repro.node.Node` classes, which generate no code; raise this
+#: only for a dataclass the verify path cannot do without.
+MAX_DATACLASSES = 32
 
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, dataclasses, io, json, sys
+built = []
+process_class = dataclasses._process_class
+def counting(cls, *args, **kwargs):
+    built.append(f"{cls.__module__}.{cls.__qualname__}")
+    return process_class(cls, *args, **kwargs)
+dataclasses._process_class = counting
 import repro.core.cli as cli
 from repro.corpus import manifest_dir
 manifest = str(manifest_dir() / "ntp-fixed.pp")
@@ -32,11 +61,12 @@ print(json.dumps({
     "code": code,
     "verdicts": "DETERMINISTIC" in out.getvalue() and "IDEMPOTENT" in out.getvalue(),
     "loaded": sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules),
+    "dataclasses": built,
 }))
 """
 
 
-def test_verify_incremental_imports_no_pool_loop_or_graph_library(tmp_path):
+def _probe(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
         [sys.executable, "-c", PROBE, str(tmp_path), json.dumps(FORBIDDEN)],
@@ -48,7 +78,16 @@ def test_verify_incremental_imports_no_pool_loop_or_graph_library(tmp_path):
     assert result.returncode == 0, result.stderr
     probe = json.loads(result.stdout.splitlines()[-1])
     assert probe["code"] == 0 and probe["verdicts"], probe
-    assert probe["loaded"] == [], probe
+    return probe
+
+
+def test_verify_incremental_imports_no_pool_loop_or_graph_library(tmp_path):
+    assert _probe(tmp_path)["loaded"] == []
+
+
+def test_verify_incremental_builds_few_dataclasses(tmp_path):
+    built = _probe(tmp_path)["dataclasses"]
+    assert len(built) <= MAX_DATACLASSES, built
 
 
 #: Packages whose init re-exports through a ``_LAZY_EXPORTS`` table.
@@ -57,6 +96,7 @@ LAZY_PACKAGES = (
     "repro.analysis",
     "repro.sat",
     "repro.service",
+    "repro.smt",
     "repro.testing",
 )
 
