@@ -115,8 +115,8 @@ class DeterminismOptions:
     #: (a SAT-competition binary on PATH).  A plain string so options
     #: stay picklable and hash into the verdict-cache key.
     solver: str = "cdcl"
-    #: Persist intermediate results (CNF blocks, commutativity
-    #: verdicts, idempotence, exploration subtrees) across processes in
+    #: Persist intermediate results (commutativity verdicts,
+    #: idempotence, exploration subtrees) across processes in
     #: the :mod:`repro.service.incremental` store, so re-verifying an
     #: edited catalog reuses everything the edit did not invalidate.
     #: Verdicts are byte-identical with the store hot, cold, or
@@ -180,12 +180,13 @@ class DeterminismStats:
     prefilter_proved: bool = False
     #: Incremental-store reuse (0 unless ``options.incremental``):
     #: recorded results served — whole-run root hits, grafted
-    #: exploration subtrees, and cached per-resource idempotence
+    #: exploration subtrees, and cached full-catalog idempotence
     #: verdicts.  Like the timing fields, these describe the *run*, not
     #: the manifest: incremental and from-scratch rows agree on
     #: everything else.
     subtree_reuse_hits: int = 0
-    #: Subformula encodings rehydrated from the persistent CNF cache.
+    #: Always 0: no store section holds CNF encodings any more.  Kept
+    #: so rows (schema version 5) and their readers keep the field.
     cnf_cache_hits: int = 0
     #: Resource-pair commutativity verdicts served from the store
     #: instead of recomputed from footprints.

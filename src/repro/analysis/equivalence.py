@@ -28,9 +28,6 @@ class EquivalenceResult:
     sat_vars: int = 0
     sat_clauses: int = 0
     total_seconds: float = 0.0
-    #: Subformula encodings rehydrated from a persistent CNF cache
-    #: (0 without ``cnf_cache`` — see :mod:`repro.service.incremental`).
-    cnf_cache_hits: int = 0
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -41,15 +38,8 @@ def check_equivalence(
     e2: fx.Expr,
     well_formed_initial: bool = True,
     max_conflicts: Optional[int] = None,
-    cnf_cache=None,
 ) -> EquivalenceResult:
-    """Decide ``∀σ. ⟦e1⟧σ = ⟦e2⟧σ``; a witness σ is decoded when not.
-
-    ``cnf_cache`` — an optional :class:`repro.logic.cnf.SubtermCache`;
-    encoded subformulas persist across runs and rehydrate here (the
-    verdict is unaffected — the encoding is equisatisfiable either
-    way).
-    """
+    """Decide ``∀σ. ⟦e1⟧σ = ⟦e2⟧σ``; a witness σ is decoded when not."""
     start = time.perf_counter()
     bank = TermBank()
     domains = PathDomains.for_exprs([e1, e2])
@@ -60,7 +50,7 @@ def check_equivalence(
         initial_constraints(bank, domains, well_formed=well_formed_initial),
         states_differ(bank, s1, s2, domains.paths),
     )
-    query = Query(bank, subterm_cache=cnf_cache)
+    query = Query(bank)
     query.assert_term(goal)
     result = query.check(max_conflicts=max_conflicts)
     elapsed = time.perf_counter() - start
@@ -71,7 +61,6 @@ def check_equivalence(
             sat_vars=result.num_vars,
             sat_clauses=result.num_clauses,
             total_seconds=elapsed,
-            cnf_cache_hits=query.cnf_cache_hits,
         )
     from repro.smt.model import decode_filesystem
 
@@ -83,7 +72,6 @@ def check_equivalence(
         sat_vars=result.num_vars,
         sat_clauses=result.num_clauses,
         total_seconds=elapsed,
-        cnf_cache_hits=query.cnf_cache_hits,
     )
 
 

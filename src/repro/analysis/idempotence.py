@@ -6,18 +6,35 @@ topological order gives a single expression ``e`` and idempotence is
 simply ``e ≡ e; e``.  Running this on a non-deterministic manifest
 would be unsound, which is why the pipeline gates it on the
 determinacy result.
+
+The check tries a proof by rewriting first and asks SAT only when
+that fails:
+
+1. **Proof.** :func:`repro.fs.rewrite.simplify` preserves meaning on
+   every input filesystem (``simplify(x) ≡ x``), so
+   ``simplify(e; e) == simplify(e)`` gives
+   ``e; e ≡ simplify(e; e) = simplify(e) ≡ e`` on *all* states — a
+   stronger result than the well-formed-initial query.  It succeeds
+   when the partial evaluation of the second copy, run on what the
+   first copy leaves behind, folds every guard towards the no-op
+   branch.
+2. **Exact fallback.** Otherwise the SAT query
+   ``check_equivalence(e, e; e)`` runs on the unsimplified
+   expressions, so every non-idempotent verdict and witness is the
+   one the query alone gives.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Sequence
+from typing import Dict, Hashable, Optional
 
-from repro.analysis.equivalence import EquivalenceResult, check_equivalence
+from repro.analysis.equivalence import check_equivalence
 from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem
 from repro.fs import syntax as fx
+from repro.fs.rewrite import simplify
 
 NodeId = Hashable
 
@@ -27,6 +44,9 @@ class IdempotenceResult:
     idempotent: bool
     witness_fs: Optional[FileSystem] = None
     total_seconds: float = 0.0
+    #: SAT queries asked: 0 when rewriting proved idempotence, 1 when
+    #: the check fell back to the exact query.
+    sat_queries: int = 0
 
     def __bool__(self) -> bool:
         return self.idempotent
@@ -37,13 +57,19 @@ def check_idempotence_expr(
 ) -> IdempotenceResult:
     """``e ≡ e; e`` for a single expression."""
     start = time.perf_counter()
+    twice = fx.seq(e, e)
+    if simplify(twice) == simplify(e):
+        return IdempotenceResult(
+            idempotent=True, total_seconds=time.perf_counter() - start
+        )
     result = check_equivalence(
-        e, fx.seq(e, e), well_formed_initial=well_formed_initial
+        e, twice, well_formed_initial=well_formed_initial
     )
     return IdempotenceResult(
         idempotent=result.equivalent,
         witness_fs=result.witness_fs,
         total_seconds=time.perf_counter() - start,
+        sat_queries=1,
     )
 
 

@@ -439,8 +439,8 @@ def warm_reverify_rows(
     a ``resources``-file catalog from scratch, then with a cold
     incremental store, then re-verify a one-resource edit against the
     now-hot store.  The warm row is the headline: the store already
-    holds per-resource idempotence verdicts and CNF blocks for the
-    untouched resources, so only the edited resource is re-solved."""
+    holds the commutativity verdicts and exploration subtrees of the
+    untouched resources, so only what the edit reaches is re-solved."""
     import tempfile
 
     from repro.service.incremental import reset_store_registry

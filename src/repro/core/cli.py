@@ -126,8 +126,8 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--incremental",
         action="store_true",
-        help="reuse intermediate results (CNF blocks, commutativity "
-        "pairs, exploration subtrees) from a persistent store across "
+        help="reuse intermediate results (commutativity pairs, "
+        "idempotence verdicts, exploration subtrees) from a persistent store across "
         "runs; verdicts are byte-identical to from-scratch runs "
         "(default: off, or REHEARSAL_INCREMENTAL=1)",
     )
@@ -581,8 +581,8 @@ def build_cache_parser() -> argparse.ArgumentParser:
         description=(
             "Inspect and manage the on-disk caches: the verdict cache "
             "(one JSON entry per verified manifest) and the "
-            "incremental store (CNF blocks, commutativity pairs, "
-            "exploration subtrees reused across runs).  Both live in "
+            "incremental store (commutativity pairs, idempotence "
+            "verdicts, exploration subtrees reused across runs).  Both live in "
             "the cache directory (REHEARSAL_CACHE_DIR, else "
             "$XDG_CACHE_HOME/rehearsal)."
         ),

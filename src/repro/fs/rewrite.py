@@ -8,6 +8,14 @@ program, folding decided predicates and collapsing dead branches,
 while keeping every write (unlike pruning, which removes them for a
 single designated path).
 
+After an ``if`` the two branches' knowledge is joined per path: what
+both agree on survives, and when both leave a file whose content
+differs the path is known as ``KFile(None)`` — a file, content
+unknown — rather than dropped.  That join is what lets a re-run of a
+file resource fold (``if file?(p) then id else creat(p, c)`` leaves a
+file either way), so :mod:`repro.analysis.idempotence` can prove
+``e; e ≡ e`` by comparing ``simplify(e; e)`` with ``simplify(e)``.
+
 ``simplify(e) ≡ e`` for every input filesystem — the property tests
 verify this both concretely and via the SAT-backed equivalence check.
 """
@@ -125,9 +133,11 @@ def _simp(
             return _simp(e.else_branch, k)
         then_e, k1 = _simp(e.then_branch, _refine(k, pred, True))
         else_e, k2 = _simp(e.else_branch, _refine(k, pred, False))
-        merged = {
-            p: v for p, v in k1.items() if k2.get(p) == v
-        }
+        merged: Dict[Path, Knowledge] = {}
+        for p, v in k1.items():
+            joined = _join(v, k2.get(p))
+            if joined is not None:
+                merged[p] = joined
         # An always-erroring branch imposes no knowledge on the join.
         if isinstance(then_e, fx.Err):
             merged = k2
@@ -135,6 +145,19 @@ def _simp(
             merged = k1
         return fx.ite(pred, then_e, else_e), merged
     raise TypeError(f"unknown expression: {e!r}")
+
+
+def _join(
+    a: Knowledge, b: Optional[Knowledge]
+) -> Optional[Knowledge]:
+    """What both branches of an ``if`` know about one path (``None`` =
+    nothing): equal knowledge, or a file of unknown content when both
+    leave a file but not the same one."""
+    if a == b:
+        return a
+    if isinstance(a, KFile) and isinstance(b, KFile):
+        return KFile(None)
+    return None
 
 
 def _fold(pred: fx.Pred, k: Dict[Path, Knowledge]) -> fx.Pred:

@@ -9,28 +9,11 @@ as negative integers (DIMACS convention); variable 0 is never used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Dict, List, Optional
 
 from repro.logic.terms import Term, TermBank, iter_dag
 
 Clause = List[int]
-
-
-class SubtermCache(Protocol):
-    """Persistent store of encoded CNF blocks keyed by structural digest.
-
-    A *block* is the Tseitin encoding of one subformula with local
-    variable numbering: internal (definitional) variables are 1..v,
-    named input variables are v+1.. and listed in ``names``; ``root``
-    is the block-local literal equivalent to the subformula.  Blocks
-    rehydrate into any CNF by allocating fresh internal variables and
-    resolving names through ``var_ids`` — nothing in a block depends on
-    process-local uids or on the surrounding query.
-    """
-
-    def get(self, digest: str) -> Optional[dict]: ...
-
-    def put(self, digest: str, block: dict) -> None: ...
 
 
 @dataclass
@@ -75,28 +58,13 @@ class TseitinEncoder:
     differences) reuse one CNF and one solver instance.
     """
 
-    def __init__(
-        self,
-        cnf: Optional[CNF] = None,
-        subterm_cache: Optional[SubtermCache] = None,
-        digest_fn: Optional[Callable[[Term], str]] = None,
-    ):
+    def __init__(self, cnf: Optional[CNF] = None):
         self.cnf = cnf if cnf is not None else CNF()
         self._node_lit: Dict[int, int] = {}
-        # Optional persistence: with a cache and a stable digest
-        # function attached, and/or nodes whose encodings were recorded
-        # by an earlier run rehydrate instead of being re-clausified.
-        self.subterm_cache = subterm_cache
-        self._digest_fn = digest_fn
-        self.cache_hits = 0
 
     def lit(self, root: Term) -> int:
         """The CNF literal defined to be equivalent to ``root``,
         emitting definition clauses for nodes not yet encoded."""
-        if self.subterm_cache is not None and self._digest_fn is not None:
-            misses = self._rehydrate_pass(root)
-        else:
-            misses = []
         cnf = self.cnf
         node_lit = self._node_lit
 
@@ -140,59 +108,7 @@ class TseitinEncoder:
                 node_lit[node.uid] = fresh
             else:
                 raise TypeError(f"unknown term kind: {node.kind}")
-        for miss in misses:
-            self.subterm_cache.put(  # type: ignore[union-attr]
-                self._digest_fn(miss), _extract_block(miss)  # type: ignore[misc]
-            )
         return node_lit[root.uid]
-
-    # -- persistent block cache ---------------------------------------------
-
-    def _rehydrate_pass(self, root: Term) -> List[Term]:
-        """Top-down sweep resolving cached and/or nodes before the
-        encode loop runs; returns the nodes worth recording afterwards
-        (the root and its immediate and/or arguments that missed).
-        Children below a hit are never visited — that is the saving."""
-        assert self.subterm_cache is not None and self._digest_fn is not None
-        node_lit = self._node_lit
-        record: List[Term] = []
-        seen: set[int] = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.uid in seen or node.uid in node_lit:
-                continue
-            seen.add(node.uid)
-            if node.kind in ("and", "or"):
-                block = self.subterm_cache.get(self._digest_fn(node))
-                if block is not None:
-                    node_lit[node.uid] = self._inflate_block(block)
-                    self.cache_hits += 1
-                    continue
-                if node is root or (
-                    root.kind in ("and", "or") and node in root.args
-                ):
-                    record.append(node)
-            stack.extend(node.args)
-        return record
-
-    def _inflate_block(self, block: dict) -> int:
-        """Copy a recorded block into this encoder's CNF: fresh
-        internal variables, named variables resolved by name."""
-        cnf = self.cnf
-        num_internal = block["v"]
-        vmap: Dict[int, int] = {}
-        for i in range(1, num_internal + 1):
-            vmap[i] = cnf.new_var()
-        for j, name in enumerate(block["names"]):
-            vid = cnf.var_ids.get(name)
-            if vid is None:
-                vid = cnf.new_var(name)
-            vmap[num_internal + 1 + j] = vid
-        for clause in block["clauses"]:
-            cnf.add([vmap[abs(l)] * (1 if l > 0 else -1) for l in clause])
-        r = block["root"]
-        return vmap[abs(r)] * (1 if r > 0 else -1)
 
 
 def tseitin(root: Term, bank: TermBank, cnf: Optional[CNF] = None) -> tuple[CNF, int]:
@@ -206,33 +122,6 @@ def tseitin(root: Term, bank: TermBank, cnf: Optional[CNF] = None) -> tuple[CNF,
     encoder = TseitinEncoder(cnf)
     lit = encoder.lit(root)
     return encoder.cnf, lit
-
-
-def _extract_block(node: Term) -> dict:
-    """Encode ``node`` standalone and repack the result with block-local
-    variable numbering (see :class:`SubtermCache`).  Constants keep
-    their ``$true``/``$false`` pin clauses inside the block, so a block
-    is self-contained."""
-    sub = TseitinEncoder()
-    root_lit = sub.lit(node)
-    cnf = sub.cnf
-    named: Dict[int, str] = {vid: name for name, vid in cnf.var_ids.items()}
-    internal = [v for v in range(1, cnf.num_vars + 1) if v not in named]
-    vmap: Dict[int, int] = {v: i + 1 for i, v in enumerate(internal)}
-    names: List[str] = []
-    for vid in sorted(named):
-        vmap[vid] = len(internal) + len(names) + 1
-        names.append(named[vid])
-
-    def m(lit: int) -> int:
-        return vmap[abs(lit)] * (1 if lit > 0 else -1)
-
-    return {
-        "v": len(internal),
-        "names": names,
-        "root": m(root_lit),
-        "clauses": [[m(l) for l in clause] for clause in cnf.clauses],
-    }
 
 
 def _topo_order(

@@ -5,25 +5,13 @@ results: one edited line invalidates everything.  This module keys the
 *intermediate* results on content digests instead, so a re-verify after
 a small edit reuses everything the edit did not invalidate:
 
-- **CNF blocks** (``cnf`` section): Tseitin encodings of and/or
-  subformulas, keyed by the stable structural digest of
-  :func:`repro.logic.terms.structural_digest` (term uids are
-  process-local and cannot be persisted).  Rehydration allocates fresh
-  internal variables and resolves input variables by name — see
-  :class:`repro.logic.cnf.SubtermCache`.
 - **Commutativity verdicts** (``commute`` section): one bool per
   resource-pair *footprint* digest, so unchanged pairs skip
   :func:`repro.analysis.commutativity.footprints_commute`.
-- **Per-resource idempotence** (``idem``) and **full-catalog
-  idempotence** (``idem_full``): the dominant cost of a verify on large
-  catalogs is the ``e ≡ e; e`` check over the whole sequenced catalog.
-  :func:`check_idempotence_incremental` decomposes it — when every
-  resource pair commutes, ``e;e`` reorders to ``r1;r1;…;rn;rn``, so
-  per-resource idempotence (over *all* states, a strictly stronger
-  property than the well-formed-initial variant) implies catalog
-  idempotence.  The fast path only ever concludes *positively*; any
-  non-commuting pair or non-idempotent resource falls back to the
-  exact from-scratch check, so verdicts are byte-identical either way.
+- **Full-catalog idempotence** (``idem_full``): the ``e ≡ e; e``
+  verdict and witness, keyed by the catalog's per-resource program
+  digests in topological order (see
+  :func:`check_idempotence_incremental`).
 - **Exploration subtrees** (``explore``) and **root determinism
   results** (``det_root``): see :mod:`repro.analysis.determinism` for
   the graft rules and the scratch-rerun parity guard.
@@ -48,8 +36,7 @@ from pathlib import Path as OsPath
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro import __version__
-from repro.analysis.commutativity import Footprint, footprint, footprints_commute
-from repro.analysis.equivalence import check_equivalence
+from repro.analysis.commutativity import Footprint, footprints_commute
 from repro.analysis.idempotence import IdempotenceResult, check_idempotence
 from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem, eval_expr, seq
@@ -437,45 +424,6 @@ def state_digest(bank, state) -> str:
     return h.hexdigest()
 
 
-# -- persistent CNF block cache ----------------------------------------------
-
-
-class StoreSubtermCache:
-    """:class:`repro.logic.cnf.SubtermCache` over the ``cnf`` section.
-
-    Attached only to the one-shot idempotence queries — never to the
-    determinism :class:`~repro.smt.query.IncrementalQuery`, whose CNF
-    layout feeds race localization and must stay byte-identical to the
-    from-scratch run.
-    """
-
-    #: Blocks above this many clauses are not persisted (a whole-goal
-    #: block for a large catalog can dwarf everything else in the
-    #: store; sub-blocks still cover the reusable structure).
-    MAX_CLAUSES = 50_000
-
-    def __init__(self, store: IncrementalStore):
-        self._store = store
-
-    def get(self, digest: str) -> Optional[dict]:
-        block = self._store.get_json("cnf", digest)
-        if block is None:
-            return None
-        if not (
-            isinstance(block.get("v"), int)
-            and isinstance(block.get("names"), list)
-            and isinstance(block.get("root"), int)
-            and isinstance(block.get("clauses"), list)
-        ):
-            return None  # damaged entry: miss, re-encode from scratch
-        return block
-
-    def put(self, digest: str, block: dict) -> None:
-        if len(block["clauses"]) > self.MAX_CLAUSES:
-            return
-        self._store.put_json("cnf", digest, block)
-
-
 # -- cached commutativity matrix ---------------------------------------------
 
 
@@ -548,23 +496,15 @@ def check_idempotence_incremental(
 ) -> IdempotenceResult:
     """Idempotence with cross-run reuse; byte-identical verdicts.
 
-    Three tiers, each falling through to the next:
+    Two tiers, the first falling through to the second:
 
     1. **Full-catalog hit** (``idem_full``): the exact per-resource
        program digests in topological order were decided before —
        serve the recorded verdict (and witness).
-    2. **Commuting decomposition**: when every resource pair commutes
-       (Lemma 4), ``e;e = r1…rn;r1…rn ≡ r1;r1;…;rn;rn``, so catalog
-       idempotence follows from per-resource idempotence.  Each
-       ``ri;ri ≡ ri`` is checked over *all* initial states
-       (``well_formed_initial=False`` — stronger than the catalog
-       property, so the implication needs no well-formedness
-       preservation argument) and cached by program digest.  This tier
-       only ever concludes **positively**; a non-commuting pair or a
-       non-idempotent resource falls through.
-    3. **Exact fallback**: the unmodified from-scratch
+    2. **From scratch**: the unmodified
        :func:`~repro.analysis.idempotence.check_idempotence` — same
-       code path, same witness, byte-identical result.
+       code path, same witness, byte-identical result — recorded
+       under the full-catalog key.
 
     Reuse counters land on ``stats`` (a
     :class:`~repro.analysis.determinism.DeterminismStats`) when given.
@@ -591,56 +531,6 @@ def check_idempotence_incremental(
             total_seconds=time.perf_counter() - start,
         )
 
-    prints = {n: footprint(programs[n]) for n in order}
-    matrix, commute_hits = cached_commutativity_matrix(prints, store)
-    if stats is not None:
-        stats.commute_cache_hits += commute_hits
-    all_commute = all(
-        matrix[a][b]
-        for i, a in enumerate(order)
-        for b in order[i + 1 :]
-    )
-
-    if all_commute:
-        cnf_cache = StoreSubtermCache(store)
-        cached_bools = store.get_many("idem", [digests[n] for n in order])
-        all_idem = True
-        fresh: Dict[str, str] = {}
-        for n in order:
-            raw = cached_bools.get(digests[n])
-            if raw is None:
-                raw = fresh.get(digests[n])
-            if raw is not None:
-                if stats is not None:
-                    stats.subtree_reuse_hits += 1
-                idem = raw == "1"
-            else:
-                e = programs[n]
-                res = check_equivalence(
-                    e,
-                    fx.seq(e, e),
-                    well_formed_initial=False,
-                    cnf_cache=cnf_cache,
-                )
-                if stats is not None:
-                    stats.cnf_cache_hits += res.cnf_cache_hits
-                idem = res.equivalent
-                fresh[digests[n]] = "1" if idem else "0"
-            if not idem:
-                all_idem = False
-                break
-        if fresh:
-            store.put_many("idem", list(fresh.items()))
-        if all_idem:
-            store.put_json(
-                "idem_full", full_key, {"idempotent": True, "witness": None}
-            )
-            return IdempotenceResult(
-                idempotent=True,
-                witness_fs=None,
-                total_seconds=time.perf_counter() - start,
-            )
-
     result = check_idempotence(graph, programs, well_formed_initial=wf)
     store.put_json(
         "idem_full",
@@ -650,11 +540,8 @@ def check_idempotence_incremental(
             "witness": _fs_to_dict(result.witness_fs),
         },
     )
-    return IdempotenceResult(
-        idempotent=result.idempotent,
-        witness_fs=result.witness_fs,
-        total_seconds=time.perf_counter() - start,
-    )
+    result.total_seconds = time.perf_counter() - start
+    return result
 
 
 # -- determinism-side persistence --------------------------------------------

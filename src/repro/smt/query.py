@@ -83,20 +83,11 @@ class Query:
         bank: TermBank,
         preprocessing: Optional[bool] = None,
         backend: Optional[Callable[[], "Solver"]] = None,
-        subterm_cache=None,
     ):
         self.bank = bank
         self.preprocessing = preprocessing
         self.backend = backend
         self._assertions: list[Term] = []
-        #: Optional :class:`repro.logic.cnf.SubtermCache` — persisted
-        #: and/or encodings rehydrate across runs (the incremental
-        #: store's ``cnf`` section).  One-shot queries only; the
-        #: incremental query below never uses it.
-        self.subterm_cache = subterm_cache
-        #: Subformula encodings served from :attr:`subterm_cache` by
-        #: the last :meth:`check`.
-        self.cnf_cache_hits = 0
 
     def assert_term(self, term: Term) -> None:
         self._assertions.append(term)
@@ -107,16 +98,9 @@ class Query:
             return QueryResult(sat=True)
         if formula is self.bank.FALSE:
             return QueryResult(sat=False)
-        if self.subterm_cache is not None:
-            encoder = TseitinEncoder(
-                subterm_cache=self.subterm_cache,
-                digest_fn=self.bank.digest,
-            )
-        else:
-            encoder = TseitinEncoder()
+        encoder = TseitinEncoder()
         cnf = encoder.cnf
         root_lit = encoder.lit(formula)
-        self.cnf_cache_hits = encoder.cache_hits
         cnf.add([root_lit])
         start = time.perf_counter()
         preprocessing = self.preprocessing

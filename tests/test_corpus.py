@@ -72,6 +72,8 @@ class TestIdempotenceVerdicts:
         subject = idempotence_subject(name)
         result = tool.check_idempotence(load_source(subject))
         assert result.idempotent, f"{subject} should be idempotent"
+        # Proved by rewriting alone: losing the proof costs a SAT query.
+        assert result.sat_queries == 0, f"{subject} fell back to SAT"
 
 
 class TestWitnessQuality:

@@ -25,6 +25,7 @@ from repro.fs import (
     rm,
     seq,
 )
+from repro.analysis.idempotence import check_idempotence_expr
 from repro.fs.filesystem import DIR, FileContent
 from repro.fs.rewrite import simplify
 from repro.fs.syntax import expr_size
@@ -63,6 +64,14 @@ class TestFolding:
         e = compiler.compile(Resource("package", "apache2", {}))
         out = simplify(e)
         assert expr_size(out) <= expr_size(e)
+
+    def test_join_keeps_a_file_of_unknown_content(self):
+        p = Path.of("/p")
+        first = ite(file_(p), ID, creat(p, "x"))
+        # Both branches of the first if leave a file at p, so the
+        # second guard folds to TRUE.
+        e = seq(first, ite(file_(p), ID, rm(p)))
+        assert simplify(e) == first
 
     def test_error_branch_knowledge_skipped(self):
         p = Path.of("/f")
@@ -126,6 +135,21 @@ class TestSimplifyPreservesSemantics:
             assert eval_expr(e, fs) == eval_expr(out, fs), (
                 f"simplify changed semantics\ne={e}\nout={out}\nfs={fs!r}"
             )
+
+    @given(st.integers(min_value=0, max_value=80_000))
+    @settings(max_examples=120, deadline=None)
+    def test_idempotence_proofs_hold_concretely(self, seed):
+        """A rewriting proof of ``e; e ≡ e``, and any idempotent
+        verdict, hold on every small state."""
+        rng = random.Random(seed)
+        e = _random_expr(rng, depth=4)
+        twice = seq(e, e)
+        proved = simplify(twice) == simplify(e)
+        if proved or check_idempotence_expr(e).idempotent:
+            for fs in _states():
+                assert eval_expr(twice, fs) == eval_expr(e, fs), (
+                    f"e; e differs from e\ne={e}\nfs={fs!r}"
+                )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equivalent_by_smt(self, seed):

@@ -89,6 +89,14 @@ class TestIdempotence:
         twice = eval_expr(seq(mkdir("/d"), mkdir("/d")), w)
         assert once != twice
 
+    def test_toggle_falls_back_to_the_exact_query(self):
+        p = Path.of("/t")
+        e = ite(file_(p), rm(p), creat(p, "x"))
+        res = check_idempotence_expr(e)
+        assert not res.idempotent
+        assert res.sat_queries == 1
+        assert res.witness_fs == check_equivalence(e, seq(e, e)).witness_fs
+
     def test_fig3d_copy_then_delete(self):
         """file{'/dst': source => '/src'} -> file{'/src': absent}:
         the second run always fails (paper Fig. 3d)."""
