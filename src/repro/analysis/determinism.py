@@ -52,26 +52,19 @@ from repro.analysis.commutativity import (
     commutativity_matrix,
     footprint,
 )
-from repro.analysis.elimination import EliminationReport, eliminate_resources
-from repro.analysis.pruning import PruneReport, prune_manifest
+from repro.analysis.elimination import eliminate_resources
 from repro.digraph import DiGraph, descendants, topological_sort
 from repro.errors import AnalysisBudgetExceeded
 from repro.fs import FileSystem, eval_expr, seq
 from repro.fs import syntax as fx
-from repro.logic.terms import TermBank
-from repro.sat.backend import parse_backend_spec
-from repro.smt.encoder import apply_expr
-from repro.smt.query import IncrementalQuery
-from repro.smt.state import (
-    SymbolicState,
-    initial_constraints,
-    initial_state,
-    states_differ,
-)
-from repro.smt.values import PathDomains
 
+# The symbolic back end (term bank, SMT encoding, SAT) and the pruning
+# passes load where they first run: on most manifests elimination
+# leaves at most one resource and the check returns before either.
 if TYPE_CHECKING:
     from repro.analysis.localize import RaceReport
+    from repro.logic.terms import TermBank
+    from repro.smt.state import SymbolicState
 
 NodeId = Hashable
 
@@ -124,7 +117,7 @@ class DeterminismOptions:
     #: verdict-cache key.  Defaults from ``REHEARSAL_INCREMENTAL``.
     incremental: bool = field(default_factory=_incremental_default)
     #: Directory holding ``incremental.sqlite`` (default: the
-    #: :func:`repro.service.cache.default_cache_dir`).
+    #: :func:`repro.service.cachedir.default_cache_dir`).
     incremental_dir: Optional[str] = None
 
 
@@ -273,6 +266,8 @@ class _Explorer:
         :attr:`explore_seconds`, so the explore/solve split in the
         stats survives the interleaving.
         """
+        from repro.smt.encoder import apply_expr
+
         use_memo = self.options.use_memoization
         #: (frozenset(remaining), fingerprint) -> arrival count.  The
         #: first arrival enqueues the state; later ones only bump the
@@ -430,6 +425,8 @@ class _IncrementalExplorer(_Explorer):
         return idx
 
     def walk(self, init):
+        from repro.smt.encoder import apply_expr
+
         arrivals: Dict[tuple, int] = {}
         remaining = frozenset(self.graph.nodes)
         root_idx = self._arrive(remaining, init)
@@ -624,6 +621,8 @@ def check_determinism(
     node_list = list(work_graph.nodes)
     exprs = [work_programs[n] for n in node_list]
     if options.use_pruning and node_list:
+        from repro.analysis.pruning import prune_manifest
+
         pruned_exprs, prune_report = prune_manifest(exprs)
         stats.paths_before_pruning = prune_report.stateful_before
         stats.paths_after_pruning = prune_report.stateful_after
@@ -635,11 +634,9 @@ def check_determinism(
         for n, e in zip(node_list, pruned_exprs):
             work_programs[n] = e
     else:
-        from repro.analysis.commutativity import footprint as _fp
-
         writer_counts: Dict[object, int] = {}
         for e in exprs:
-            fp = _fp(e)
+            fp = footprint(e)
             for p in fp.writes | fp.dir_ensures:
                 writer_counts[p] = writer_counts.get(p, 0) + 1
         stats.paths_before_pruning = len(writer_counts)
@@ -659,6 +656,16 @@ def check_determinism(
         stats.modeled_paths = stats.paths_after_pruning
         stats.distinct_finals = 1  # the single (possibly empty) order
         return DeterminismResult(True, stats)
+
+    from repro.logic.terms import TermBank
+    from repro.sat.backend import parse_backend_spec
+    from repro.smt.query import IncrementalQuery
+    from repro.smt.state import (
+        initial_constraints,
+        initial_state,
+        states_differ,
+    )
+    from repro.smt.values import PathDomains
 
     bank = TermBank()
     domains = PathDomains.for_exprs(

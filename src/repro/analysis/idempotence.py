@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
-from repro.analysis.equivalence import check_equivalence
 from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem
 from repro.fs import syntax as fx
@@ -62,6 +61,8 @@ def check_idempotence_expr(
         return IdempotenceResult(
             idempotent=True, total_seconds=time.perf_counter() - start
         )
+    from repro.analysis.equivalence import check_equivalence
+
     result = check_equivalence(
         e, twice, well_formed_initial=well_formed_initial
     )

@@ -45,7 +45,8 @@ positive); 1 — a negative or missing verdict (batch: some manifest
 errored, a verdict failed under ``--strict``, or the final ``--json``
 write failed); 2 — bad invocation (unreadable manifest, no manifests
 found, invalid ``--workers``, a bad or unresolvable ``--solver``
-spec, ``--json`` pointing at a directory or into a missing one).
+spec, an unknown ``--platform``, ``--json`` pointing at a directory or
+into a missing one).
 
 Solver backends (see docs/solver.md): ``--solver external:auto``
 shells out to a SAT-competition binary found on PATH instead of the
@@ -68,12 +69,18 @@ from repro.resources.compiler import ModelContext
 from repro.resources.package_db import PackageDatabase
 from repro.sat.backend import parse_backend_spec
 
+#: The names ``--platform`` accepts: the keys of
+#: :data:`repro.core.platforms.PLATFORMS`, spelled out so that parsing
+#: the command line does not import the platform profiles.
+PLATFORM_NAMES = ("ubuntu", "centos")
+
 
 def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by both commands (platform + §4 toggles)."""
     parser.add_argument(
         "--platform",
         default="ubuntu",
+        choices=PLATFORM_NAMES,
         help="target platform for package modeling (default: ubuntu)",
     )
     parser.add_argument(
@@ -1154,6 +1161,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--platform",
         default="ubuntu",
+        choices=PLATFORM_NAMES,
         help="target platform for package modeling (default: ubuntu)",
     )
     parser.add_argument(

@@ -24,7 +24,7 @@ verdict-cache key, and storable in :class:`DeterminismOptions`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 try:  # Protocol is 3.8+; keep a runtime-checkable structural type.
     from typing import Protocol, runtime_checkable
@@ -35,7 +35,8 @@ except ImportError:  # pragma: no cover - ancient interpreters only
         return cls
 
 
-from repro.sat.solver import SolveResult, Solver
+if TYPE_CHECKING:
+    from repro.sat.solver import SolveResult
 
 
 @runtime_checkable
@@ -96,7 +97,7 @@ def parse_backend_spec(spec: str) -> BackendFactory:
     if head == "cdcl":
         if arg:
             raise ValueError(f"'cdcl' takes no argument (got {spec!r})")
-        return Solver
+        return _cdcl
     if head == "external":
         from repro.sat.external import ExternalBackend, find_external_solver
 
@@ -117,6 +118,15 @@ def parse_backend_spec(spec: str) -> BackendFactory:
         f"unknown solver spec {spec!r} (expected 'cdcl' or "
         "'external:auto|<name-or-path>')"
     )
+
+
+def _cdcl() -> SolverBackend:
+    """A fresh reference solver.  The CDCL module loads on the first
+    solve, not when ``--solver cdcl`` is validated, so a verify that
+    never reaches SAT does not import it."""
+    from repro.sat.solver import Solver
+
+    return Solver()
 
 
 def solver_counters(backend: SolverBackend) -> Dict[str, int]:

@@ -32,7 +32,7 @@ _LAZY_EXPORTS = {
     "VerdictCache": "repro.service.cache",
     "batch_table_rows": "repro.service.schema",
     "cache_key": "repro.service.cache",
-    "default_cache_dir": "repro.service.cache",
+    "default_cache_dir": "repro.service.cachedir",
     "discover_manifests": "repro.service.orchestrator",
     "normalized_row": "repro.service.schema",
     "normalized_rows": "repro.service.schema",

@@ -25,26 +25,10 @@ from typing import Optional, Union
 
 from repro import __version__
 from repro.analysis.determinism import DeterminismOptions
+from repro.service.cachedir import default_cache_dir
 from repro.service.schema import SCHEMA_VERSION, ManifestResult
 
 _ENTRY_SUFFIX = ".json"
-
-
-def default_cache_dir() -> Path:
-    """``$REHEARSAL_CACHE_DIR``, else ``$XDG_CACHE_HOME/rehearsal``
-    (or ``~/.cache/rehearsal``).
-
-    The dedicated override points directly at the cache directory (no
-    ``rehearsal`` suffix appended), so CI jobs and the fuzz workflow
-    can isolate cache state without mutating ``XDG_CACHE_HOME`` for
-    every other tool in the process.
-    """
-    override = os.environ.get("REHEARSAL_CACHE_DIR")
-    if override:
-        return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME")
-    root = Path(base) if base else Path.home() / ".cache"
-    return root / "rehearsal"
 
 
 def cache_key(

@@ -59,7 +59,7 @@ def default_store_path(directory: Optional[str] = None) -> OsPath:
     explicit directory is given."""
     if directory:
         return OsPath(directory) / _STORE_FILENAME
-    from repro.service.cache import default_cache_dir
+    from repro.service.cachedir import default_cache_dir
 
     return default_cache_dir() / _STORE_FILENAME
 

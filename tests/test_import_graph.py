@@ -5,8 +5,9 @@ and for every dataclass those modules build (``dataclasses`` generates
 and ``exec``s each method's source at import, work the bytecode cache
 cannot keep).  So the verify path must not load the batch
 orchestrator's process pool, the daemon's event loop, a graph library,
-or the modules only a divergence or a large instance runs, and it
-builds no more dataclasses than recorded here.  The checks are on
+or the modules only a divergence or a large instance runs.  Nor may it
+load the symbolic back end when elimination leaves at most one
+resource.  It builds no more dataclasses than recorded here.  The checks are on
 module names and a call count in a fresh interpreter, not on timings,
 so they cannot flake.
 """
@@ -25,7 +26,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: and the graph library, then the modules a deterministic, idempotent
 #: verify never runs (race localization and witness decoding run on a
 #: divergence, CNF preprocessing above 6,000 clauses, invariants only
-#: on request).
+#: on request).  ``--platform`` is checked against a literal tuple, so
+#: the platform profiles stay out too.
 FORBIDDEN = (
     "networkx",
     "multiprocessing",
@@ -35,13 +37,34 @@ FORBIDDEN = (
     "repro.sat.preprocess",
     "repro.smt.model",
     "repro.analysis.invariants",
+    "repro.core.platforms",
+)
+
+#: The symbolic back end and the pruning passes.  They load only when
+#: elimination leaves two or more resources (ntp-fixed keeps none;
+#: irc-fixed keeps all 5) or when idempotence falls back to SAT.
+SYMBOLIC = (
+    "repro.logic",
+    "repro.logic.terms",
+    "repro.logic.cnf",
+    "repro.logic.simplify",
+    "repro.sat.solver",
+    "repro.smt",
+    "repro.smt.values",
+    "repro.smt.state",
+    "repro.smt.encoder",
+    "repro.smt.query",
+    "repro.analysis.pruning",
+    "repro.analysis.definitive",
+    "repro.analysis.equivalence",
+    "repro.fs.domain",
 )
 
 #: Dataclasses built by ``import repro.core.cli`` plus one incremental
 #: verify of ntp-fixed.pp.  The syntax trees and lattice values are
 #: :class:`repro.node.Node` classes, which generate no code; raise this
 #: only for a dataclass the verify path cannot do without.
-MAX_DATACLASSES = 32
+MAX_DATACLASSES = 21
 
 PROBE = """
 import contextlib, dataclasses, io, json, sys
@@ -53,23 +76,28 @@ def counting(cls, *args, **kwargs):
 dataclasses._process_class = counting
 import repro.core.cli as cli
 from repro.corpus import manifest_dir
-manifest = str(manifest_dir() / "ntp-fixed.pp")
+manifest = str(manifest_dir() / sys.argv[1])
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    code = cli.main(["verify", "--incremental", "--incremental-dir", sys.argv[1], manifest])
+    code = cli.main(["verify", "--incremental", *json.loads(sys.argv[2]), manifest])
 print(json.dumps({
     "code": code,
     "verdicts": "DETERMINISTIC" in out.getvalue() and "IDEMPOTENT" in out.getvalue(),
-    "loaded": sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules),
+    "loaded": sorted(m for m in json.loads(sys.argv[3]) if m in sys.modules),
     "dataclasses": built,
 }))
 """
 
 
-def _probe(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def _probe(tmp_path, manifest="ntp-fixed.pp", watched=FORBIDDEN + SYMBOLIC, env=None):
+    """Verify a corpus manifest in a fresh interpreter with the store
+    in ``tmp_path``; report which ``watched`` modules loaded.  With
+    ``env`` the store directory comes from the environment instead of
+    ``--incremental-dir``."""
+    flags = [] if env else ["--incremental-dir", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, str(tmp_path), json.dumps(FORBIDDEN)],
+        [sys.executable, "-c", PROBE, manifest, json.dumps(flags), json.dumps(watched)],
         capture_output=True,
         text=True,
         env=env,
@@ -83,6 +111,26 @@ def _probe(tmp_path):
 
 def test_verify_incremental_imports_no_pool_loop_or_graph_library(tmp_path):
     assert _probe(tmp_path)["loaded"] == []
+
+
+def test_verify_with_two_resources_left_loads_the_symbolic_stack(tmp_path):
+    """irc-fixed keeps all 5 resources after elimination, so it is
+    pruned, explored symbolically and raced on the SAT solver.  Only
+    ``FORBIDDEN`` and the equivalence query stay out: there is no
+    divergence, the query is under 6,000 clauses, and rewriting
+    proves idempotence."""
+    loaded = _probe(tmp_path, "irc-fixed.pp")["loaded"]
+    assert set(loaded) == set(SYMBOLIC) - {"repro.analysis.equivalence"}
+
+
+def test_default_store_location_loads_no_row_schema(tmp_path):
+    """Without ``--incremental-dir`` the store sits in the cache
+    directory; finding it must not import the verdict cache or its
+    row schema."""
+    watched = FORBIDDEN + SYMBOLIC + ("repro.service.cache", "repro.service.schema")
+    probe = _probe(tmp_path, watched=watched, env={"REHEARSAL_CACHE_DIR": str(tmp_path)})
+    assert probe["loaded"] == []
+    assert (tmp_path / "incremental.sqlite").exists()
 
 
 def test_verify_incremental_builds_few_dataclasses(tmp_path):

@@ -84,3 +84,39 @@ class TestCrossPlatform:
             PORTABLE, platforms=["ubuntu"]
         )
         assert report.reports["ubuntu"].error is None
+
+
+class TestPlatformFlag:
+    """``--platform`` accepts exactly the registered profiles; any
+    other name is a bad invocation (exit 2), not a silent Ubuntu run."""
+
+    def test_choices_are_the_registered_profiles(self):
+        from repro.core.cli import PLATFORM_NAMES
+
+        assert PLATFORM_NAMES == tuple(PLATFORMS)
+
+    @pytest.mark.parametrize("command", ["verify", "verify-batch", "serve", "lint"])
+    def test_unknown_platform_is_rejected_by_every_command(
+        self, command, capsys
+    ):
+        from repro.core.cli import main
+        from repro.corpus import manifest_dir
+
+        manifest = str(manifest_dir() / "ntp-fixed.pp")
+        argv = [command, "--platform", "nosuchos"]
+        if command != "serve":
+            argv.append(manifest)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "nosuchos" in err
+        assert "'ubuntu'" in err and "'centos'" in err
+
+    def test_known_platform_still_verifies(self, capsys):
+        from repro.core.cli import main
+        from repro.corpus import manifest_dir
+
+        manifest = str(manifest_dir() / "ntp-fixed.pp")
+        assert main(["verify", "--platform", "centos", manifest]) == 0
+        assert "DETERMINISTIC" in capsys.readouterr().out
