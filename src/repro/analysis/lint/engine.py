@@ -1,11 +1,13 @@
 """The lint engine: staged analysis, rule registry, orchestration.
 
-``lint_source`` pushes one manifest through the same frontend as the
-verification pipeline — parse, evaluate, graph construction, resource
-compilation — but *stops short of the SAT stack*: every rule is either
-purely syntactic, footprint-based (§4.3 machinery), or confirmed by a
-bounded number of concrete evaluations of the reference semantics
-(Fig. 5).  A lint run issues **zero SAT queries** by construction.
+``lint_source`` pushes one manifest through the verification
+pipeline's own frontend (:func:`repro.core.pipeline.build_frontend`:
+parse, evaluate, graph construction, resource compilation), or takes
+the one a verifying caller already built, but *stops short of the SAT
+stack*: every rule is either purely syntactic, footprint-based (§4.3
+machinery), or confirmed by a bounded number of concrete evaluations
+of the reference semantics (Fig. 5).  A lint run issues **zero SAT
+queries** by construction.
 
 Stages degrade gracefully: a parse error yields exactly one REH001
 diagnostic; an evaluation error one REH002; dangling references and
@@ -33,20 +35,20 @@ from repro.analysis.lint.diagnostics import (
     Related,
     Severity,
 )
+from repro.core.pipeline import Frontend, build_frontend
 from repro.digraph import DiGraph
 from repro.errors import (
     DependencyCycleError,
     PuppetEvalError,
     PuppetSyntaxError,
-    ReproError,
     ResourceModelError,
 )
+from repro.fs import eval_expr
 from repro.fs import syntax as fx
 from repro.fs.paths import Path
 from repro.puppet.catalog import Catalog
-from repro.puppet.evaluator import Evaluator
 from repro.puppet.parser import parse_manifest
-from repro.resources.compiler import ModelContext, ResourceCompiler
+from repro.resources.compiler import ModelContext
 
 
 # -- rule registry -------------------------------------------------------------
@@ -127,6 +129,11 @@ class LintContext:
     #: node -> compile-error message for resources without a program.
     failed: Dict[object, str] = field(default_factory=dict)
     _footprints: Optional[Dict[object, Footprint]] = None
+    #: (node, state) -> result of running the node's program on that
+    #: state; lives as long as this context, i.e. one lint call.
+    _evaluations: Dict[Tuple[object, object], object] = field(
+        default_factory=dict
+    )
 
     @property
     def footprints(self) -> Dict[object, Footprint]:
@@ -135,6 +142,17 @@ class LintContext:
                 n: footprint(e) for n, e in self.programs.items()
             }
         return self._footprints
+
+    def evaluate(self, node: object, state):
+        """``node``'s program on the concrete ``state`` (Fig. 5
+        semantics), computed once per node and state."""
+        key = (node, state)
+        result = self._evaluations.get(key)
+        if result is None:
+            result = self._evaluations[key] = eval_expr(
+                self.programs[node], state
+            )
+        return result
 
     def span_of(self, node: object) -> Tuple[int, int]:
         """(line, col) of the resource behind a graph node."""
@@ -192,16 +210,46 @@ def lint_source(
     context: Optional[ModelContext] = None,
     facts: Optional[dict] = None,
     node_name: str = "default",
+    frontend: Optional[Frontend] = None,
 ) -> LintReport:
-    """Lint one manifest source; see the module docstring for staging."""
+    """Lint one manifest source; see the module docstring for staging.
+
+    ``frontend`` — the pipeline's :class:`~repro.core.pipeline.Frontend`
+    for ``source``, built under the same context, facts and node name
+    by a caller that also verifies the manifest.  Lint then runs only
+    its catalog and graph checkers on it instead of rebuilding it.
+    """
     import repro.analysis.lint.rules  # noqa: F401  (registers rules)
 
     options = options or LintOptions()
     report = LintReport(name=name)
     start = time.perf_counter()
     ctx = LintContext(name=name, options=options, report=report)
+    if frontend is None:
+        frontend = _staged_frontend(
+            ctx, source, context or ModelContext(), facts, node_name
+        )
+    else:
+        _catalog_stage(ctx, frontend.catalog)
+    if frontend is not None:
+        ctx.graph = frontend.graph
+        ctx.programs.update(frontend.programs)
+        _graph_stage(ctx)
+    report.stats.seconds = time.perf_counter() - start
+    return report
 
-    # Stage 1: parse.
+
+def _staged_frontend(
+    ctx: LintContext,
+    source: str,
+    context: ModelContext,
+    facts: Optional[dict],
+    node_name: str,
+) -> Optional[Frontend]:
+    """The pipeline's frontend, turning each stage's failure into its
+    diagnostic.  Returns ``None`` when no resource graph exists;
+    resources that cannot be modeled are reported (REH003) and left
+    out of the programs."""
     try:
         manifest = parse_manifest(source)
     except PuppetSyntaxError as exc:
@@ -213,78 +261,69 @@ def lint_source(
                 col=getattr(exc, "column", 0),
             )
         )
-        report.stats.seconds = time.perf_counter() - start
-        return report
+        return None
 
-    # Stage 2: evaluate to a catalog.
+    def model_error(node, resource, exc: ResourceModelError) -> None:
+        ctx.failed[node] = str(exc)
+        ctx.emit(
+            ctx.diag(
+                "REH003",
+                f"{node}: {exc}",
+                line=resource.line,
+                col=resource.col,
+                resource=str(node),
+            )
+        )
+
     try:
-        evaluator = Evaluator(facts=facts, node_name=node_name)
-        catalog = evaluator.evaluate(manifest)
+        return build_frontend(
+            manifest,
+            context,
+            facts,
+            node_name,
+            on_catalog=lambda catalog: _catalog_stage(ctx, catalog),
+            on_model_error=model_error,
+        )
     except PuppetEvalError as exc:
-        ctx.emit(ctx.diag("REH002", str(exc)))
-        report.stats.seconds = time.perf_counter() - start
-        return report
-    ctx.catalog = catalog
-    report.stats.resources = len(catalog.primitive_resources())
+        if ctx.catalog is None:
+            ctx.emit(ctx.diag("REH002", str(exc)))
+        elif isinstance(exc, DependencyCycleError):
+            members = [str(n) for n in exc.cycle]
+            line, col = _cycle_span(ctx.catalog, members)
+            ctx.emit(
+                ctx.diag(
+                    "REH008",
+                    "dependency cycle: "
+                    + " -> ".join(members + members[:1]),
+                    line=line,
+                    col=col,
+                    resource=members[0] if members else None,
+                )
+            )
+        elif not any(
+            d.rule_id == "REH007" for d in ctx.report.diagnostics
+        ):
+            # A dangling reference the catalog stage already reported
+            # with its span is not reported again.
+            ctx.emit(ctx.diag("REH002", str(exc)))
+        return None
 
-    # Stage 3: catalog rules (duplicate claims, dangling references).
+
+def _catalog_stage(ctx: LintContext, catalog: Catalog) -> None:
+    """Catalog rules (duplicate claims, dangling references); they run
+    before graph construction, so they fire when it fails too."""
+    ctx.catalog = catalog
+    ctx.report.stats.resources = len(catalog.primitive_resources())
     for checker in CATALOG_CHECKERS:
         for diagnostic in checker(ctx):
             ctx.emit(diagnostic)
 
-    # Stage 4: the resource graph.  Dangling references were already
-    # reported with spans by the catalog stage; a cycle becomes REH008.
-    dangling_reported = any(
-        d.rule_id == "REH007" for d in report.diagnostics
-    )
-    graph = None
-    try:
-        graph = catalog.build_graph()
-    except DependencyCycleError as exc:
-        members = [str(n) for n in exc.cycle]
-        line, col = _cycle_span(catalog, members)
-        ctx.emit(
-            ctx.diag(
-                "REH008",
-                "dependency cycle: " + " -> ".join(members + members[:1]),
-                line=line,
-                col=col,
-                resource=members[0] if members else None,
-            )
-        )
-    except PuppetEvalError as exc:
-        if not dangling_reported:
-            ctx.emit(ctx.diag("REH002", str(exc)))
-    if graph is None:
-        report.stats.seconds = time.perf_counter() - start
-        return report
-    ctx.graph = graph
 
-    # Stage 5: compile each resource to its FS program.
-    compiler = ResourceCompiler(context or ModelContext())
-    for node, data in graph.nodes(data=True):
-        resource = data["entry"].resource
-        try:
-            ctx.programs[node] = compiler.compile(resource)
-        except ResourceModelError as exc:
-            ctx.failed[node] = str(exc)
-            ctx.emit(
-                ctx.diag(
-                    "REH003",
-                    f"{node}: {exc}",
-                    line=resource.line,
-                    col=resource.col,
-                    resource=str(node),
-                )
-            )
-
-    # Stage 6: graph rules (races, filesystem hygiene, idempotence).
+def _graph_stage(ctx: LintContext) -> None:
+    """Graph rules (races, filesystem hygiene, idempotence)."""
     for checker in GRAPH_CHECKERS:
         for diagnostic in checker(ctx):
             ctx.emit(diagnostic)
-
-    report.stats.seconds = time.perf_counter() - start
-    return report
 
 
 def lint_graph(
@@ -309,9 +348,7 @@ def lint_graph(
         programs=dict(programs),
     )
     report.stats.resources = graph.number_of_nodes()
-    for checker in GRAPH_CHECKERS:
-        for diagnostic in checker(ctx):
-            ctx.emit(diagnostic)
+    _graph_stage(ctx)
     report.stats.seconds = time.perf_counter() - start
     return report
 

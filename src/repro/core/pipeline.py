@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.analysis.determinism import (
     DeterminismOptions,
@@ -19,7 +19,7 @@ from repro.analysis.determinism import (
 )
 from repro.analysis.idempotence import IdempotenceResult, check_idempotence
 from repro.digraph import DiGraph, topological_sort
-from repro.errors import ReproError
+from repro.errors import ReproError, ResourceModelError
 from repro.fs import Expr, seq
 from repro.puppet.evaluator import Evaluator
 from repro.puppet.parser import parse_manifest
@@ -27,6 +27,55 @@ from repro.resources.compiler import ModelContext, ResourceCompiler
 
 if TYPE_CHECKING:
     from repro.analysis.invariants import FinalStateProperty, InvariantResult
+    from repro.puppet.ast_nodes import Manifest
+    from repro.puppet.catalog import Catalog
+    from repro.resources.base import Resource
+
+
+class Frontend(NamedTuple):
+    """What the frontend builds from one manifest before any analysis:
+    the catalog, the resource graph (Fig. 4) and each node's FS
+    program."""
+
+    catalog: "Catalog"
+    graph: DiGraph
+    programs: Dict[str, Expr]
+
+
+def build_frontend(
+    manifest: "Manifest",
+    context: ModelContext,
+    facts: Optional[dict] = None,
+    node_name: str = "default",
+    on_catalog: Optional[Callable[["Catalog"], None]] = None,
+    on_model_error: Optional[
+        Callable[[str, "Resource", ResourceModelError], None]
+    ] = None,
+) -> Frontend:
+    """Parsed manifest → catalog → resource graph → FS programs.
+
+    Raises the first error of any stage.  The hooks let a caller that
+    reports stage by stage (the linter) run on this same code:
+    ``on_catalog`` sees the catalog before the graph is built, and
+    with ``on_model_error`` a resource that cannot be modeled is
+    handed to the hook and left out of ``programs`` instead of
+    raising.
+    """
+    catalog = Evaluator(facts=facts, node_name=node_name).evaluate(manifest)
+    if on_catalog is not None:
+        on_catalog(catalog)
+    graph = catalog.build_graph()
+    compiler = ResourceCompiler(context)
+    programs: Dict[str, Expr] = {}
+    for node, data in graph.nodes(data=True):
+        resource = data["entry"].resource
+        try:
+            programs[node] = compiler.compile(resource)
+        except ResourceModelError as exc:
+            if on_model_error is None:
+                raise
+            on_model_error(node, resource, exc)
+    return Frontend(catalog, graph, programs)
 
 
 @dataclass
@@ -95,18 +144,25 @@ class Rehearsal:
 
     # -- pipeline stages ---------------------------------------------------
 
+    def frontend(self, source: str) -> Frontend:
+        """Manifest source → (catalog, resource graph, FS programs)."""
+        return build_frontend(
+            parse_manifest(source), self.context, self.facts, self.node_name
+        )
+
     def compile(self, source: str) -> Tuple[DiGraph, Dict[str, Expr]]:
         """Manifest source → (resource graph, FS programs)."""
-        manifest = parse_manifest(source)
-        evaluator = Evaluator(facts=self.facts, node_name=self.node_name)
-        catalog = evaluator.evaluate(manifest)
-        graph = catalog.build_graph()
-        compiler = ResourceCompiler(self.context)
-        programs = {
-            node: compiler.compile(data["entry"].resource)
-            for node, data in graph.nodes(data=True)
-        }
+        return self.with_prelude(self.frontend(source))
+
+    def with_prelude(
+        self, front: Frontend
+    ) -> Tuple[DiGraph, Dict[str, Expr]]:
+        """The (graph, programs) pair the checks run on.  Under snapshot
+        package semantics the prelude goes into copies, so ``front``
+        keeps the graph as the manifest declares it."""
+        graph, programs = front.graph, front.programs
         if self.context.package_semantics == "snapshot":
+            graph, programs = graph.copy(), dict(programs)
             self._inject_snapshot_prelude(graph, programs)
         return graph, programs
 

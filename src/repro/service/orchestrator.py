@@ -18,6 +18,7 @@ Isolation guarantees:
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -35,6 +36,8 @@ from repro.service.schema import (
 )
 
 PathLike = Union[str, os.PathLike]
+
+logger = logging.getLogger(__name__)
 
 #: Error prefix marking circumstantial failures (a tool bug, memory
 #: pressure) as opposed to verdicts that are a pure function of the
@@ -86,6 +89,7 @@ def _verify_one(job: _Job) -> dict:
     here is an internal failure worth surfacing verbatim.
     """
     from repro.core.pipeline import Rehearsal
+    from repro.errors import ReproError
     from repro.resources.compiler import ModelContext
     from repro.resources.package_db import PackageDatabase
 
@@ -98,7 +102,17 @@ def _verify_one(job: _Job) -> dict:
         tool = Rehearsal(
             context=context, options=job.options, node_name=job.node_name
         )
-        report = tool.verify(job.source, name=job.name)
+        # One frontend for both the verification and lint.  If it
+        # fails, each rebuilds it and reports the failure its own way
+        # (the row's error text; lint's staged diagnostics).
+        start = time.perf_counter()
+        try:
+            front = tool.frontend(job.source)
+            compiled = tool.with_prelude(front)
+        except ReproError:
+            front = compiled = None
+        report = tool.verify(job.source, name=job.name, compiled=compiled)
+        report.total_seconds = time.perf_counter() - start
         result = ManifestResult.from_report(
             report, sha256=job.sha256, cache_key=job.key
         )
@@ -112,12 +126,19 @@ def _verify_one(job: _Job) -> dict:
                 options=LintOptions(),
                 context=context,
                 node_name=job.node_name,
+                frontend=front,
             ).to_dict()
         except KeyboardInterrupt:
             raise
-        except BaseException:
+        except BaseException as exc:
             # Lint is advisory in a batch row: a linter crash must
-            # never cost the verification verdict.
+            # never cost the verification verdict, but it must show.
+            logger.warning(
+                "lint crashed on %s (%s); its row has no lint block",
+                job.name,
+                type(exc).__name__,
+                exc_info=True,
+            )
             result.lint = None
     except KeyboardInterrupt:
         raise

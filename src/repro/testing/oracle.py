@@ -471,18 +471,22 @@ def initial_state_family(
         return [FileSystem.empty()]
     rng = random.Random(seed)
 
+    # Each path's strict ancestors (root excluded), nearest first,
+    # walked once here rather than per entry of every sampled state.
+    above: Dict[Path, List[Path]] = {}
     ancestors: Set[Path] = set()
     for p in paths:
-        for anc in p.ancestors():
-            if not anc.is_root and anc != p:
-                ancestors.add(anc)
+        above[p] = [anc for anc in p.ancestors() if not anc.is_root]
+        ancestors.update(above[p])
+    for anc in ancestors:
+        if anc not in above:
+            above[anc] = [a for a in anc.ancestors() if not a.is_root]
 
     def well_formed(entries: Dict[Path, object]) -> FileSystem:
         fixed = dict(entries)
-        for p in list(entries):
-            for anc in p.ancestors():
-                if not anc.is_root and anc != p:
-                    fixed[anc] = DIR
+        for p in entries:
+            for anc in above[p]:
+                fixed[anc] = DIR
         return FileSystem(fixed)
 
     family: List[FileSystem] = [FileSystem.empty()]

@@ -220,6 +220,100 @@ class TestStateFamily:
         assert initial_state_family([seq()]) == [FileSystem.empty()]
 
 
+def _reference_family(programs, max_states, seed):
+    """The family as first written, with every strict ancestor walked
+    again per entry of every sampled state: the behaviour
+    :func:`initial_state_family` must keep."""
+    import random
+
+    from repro.testing.oracle import FOREIGN_CONTENT, footprint_of
+
+    paths, contents = footprint_of(programs)
+    if not paths:
+        return [FileSystem.empty()]
+    rng = random.Random(seed)
+    ancestors = set()
+    for p in paths:
+        for anc in p.ancestors():
+            if not anc.is_root and anc != p:
+                ancestors.add(anc)
+
+    def well_formed(entries):
+        fixed = dict(entries)
+        for p in list(entries):
+            for anc in p.ancestors():
+                if not anc.is_root and anc != p:
+                    fixed[anc] = DIR
+        return FileSystem(fixed)
+
+    family = [FileSystem.empty()]
+    scaffold = {p: DIR for p in ancestors}
+    family.append(FileSystem(dict(scaffold)))
+    converged = dict(scaffold)
+    for p in paths:
+        if p in converged:
+            continue
+        known = contents.get(p)
+        if known:
+            converged[p] = FileContent(known[0])
+    family.append(well_formed(converged))
+    for knocked in sorted(ancestors):
+        if len(family) >= max_states - 3:
+            break
+        family.append(
+            FileSystem(
+                {
+                    p: DIR
+                    for p in scaffold
+                    if p != knocked and not knocked.is_ancestor_of(p)
+                }
+            )
+        )
+    while len(family) < max_states:
+        entries = {}
+        for p in paths:
+            roll = rng.random()
+            if roll < 0.45:
+                continue
+            if roll < 0.6:
+                entries[p] = DIR
+            else:
+                pool = contents.get(p, []) + [FOREIGN_CONTENT]
+                entries[p] = FileContent(rng.choice(pool))
+        family.append(well_formed(entries))
+    return family
+
+
+def _corpus_program_sets():
+    """Every corpus resource program alone, then each manifest's
+    programs together."""
+    from repro.core.pipeline import Rehearsal
+    from repro.corpus import CASES, FIXED_VARIANTS, load_source
+
+    sets = []
+    for name in sorted(CASES) + sorted(FIXED_VARIANTS):
+        _, programs = Rehearsal().compile(load_source(name))
+        sets.extend([program] for program in programs.values())
+        sets.append(list(programs.values()))
+    return sets
+
+
+class TestStateFamilyMatchesReference:
+    @pytest.mark.parametrize("max_states", [6, 12, 24])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_corpus_families_unchanged(self, max_states, seed):
+        for programs in _corpus_program_sets():
+            got = initial_state_family(
+                programs, max_states=max_states, seed=seed
+            )
+            want = _reference_family(programs, max_states, seed)
+            assert got == want
+            # Entry order too: it is the order eval_expr sees.
+            assert [list(fs.paths()) for fs in got] == [
+                list(fs.paths()) for fs in want
+            ]
+
+
 class TestRacingPairs:
     def test_pair_racing_only_after_setup_is_found(self):
         # a and b fight over /etc/a, but only once 'setup' created

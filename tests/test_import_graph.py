@@ -27,7 +27,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: verify never runs (race localization and witness decoding run on a
 #: divergence, CNF preprocessing above 6,000 clauses, invariants only
 #: on request).  ``--platform`` is checked against a literal tuple, so
-#: the platform profiles stay out too.
+#: the platform profiles stay out too.  The batch row shares the
+#: pipeline's frontend with lint; the one-shot verify never lints, so
+#: neither the linter nor the concrete oracle it samples states from
+#: may load.
 FORBIDDEN = (
     "networkx",
     "multiprocessing",
@@ -38,6 +41,8 @@ FORBIDDEN = (
     "repro.smt.model",
     "repro.analysis.invariants",
     "repro.core.platforms",
+    "repro.analysis.lint",
+    "repro.testing.oracle",
 )
 
 #: The symbolic back end and the pruning passes.  They load only when

@@ -336,7 +336,7 @@ class TestBatchVerifier:
     def test_internal_failures_are_not_cached(self, tmp_path, monkeypatch):
         from repro.core import pipeline as pipeline_mod
 
-        def explode(self, source, name="<manifest>"):
+        def explode(self, source, name="<manifest>", compiled=None):
             raise RuntimeError("transient breakage")
 
         monkeypatch.setattr(pipeline_mod.Rehearsal, "verify", explode)
@@ -521,7 +521,7 @@ class TestBatchVerifier:
 
         from repro.core import pipeline as pipeline_mod
 
-        def bail(self, source, name="<manifest>"):
+        def bail(self, source, name="<manifest>", compiled=None):
             sys.exit(3)
 
         monkeypatch.setattr(pipeline_mod.Rehearsal, "verify", bail)
