@@ -108,13 +108,13 @@ class DeterminismOptions:
     #: (a SAT-competition binary on PATH).  A plain string so options
     #: stay picklable and hash into the verdict-cache key.
     solver: str = "cdcl"
-    #: Persist intermediate results (commutativity verdicts,
-    #: idempotence, exploration subtrees) across processes in
-    #: the :mod:`repro.service.incremental` store, so re-verifying an
-    #: edited catalog reuses everything the edit did not invalidate.
-    #: Verdicts are byte-identical with the store hot, cold, or
-    #: deleted mid-run; this flag is therefore *excluded* from the
-    #: verdict-cache key.  Defaults from ``REHEARSAL_INCREMENTAL``.
+    #: Persist whole determinism and idempotence results across
+    #: processes in the :mod:`repro.service.incremental` store, so
+    #: re-verifying a catalog that is unchanged after pruning skips
+    #: exploration and SAT.  Verdicts are byte-identical with the
+    #: store hot, cold, or deleted mid-run; this flag is therefore
+    #: *excluded* from the verdict-cache key.  Defaults from
+    #: ``REHEARSAL_INCREMENTAL``.
     incremental: bool = field(default_factory=_incremental_default)
     #: Directory holding ``incremental.sqlite`` (default: the
     #: :func:`repro.service.cachedir.default_cache_dir`).
@@ -172,17 +172,17 @@ class DeterminismStats:
     #: encoding, zero SAT queries.
     prefilter_proved: bool = False
     #: Incremental-store reuse (0 unless ``options.incremental``):
-    #: recorded results served — whole-run root hits, grafted
-    #: exploration subtrees, and cached full-catalog idempotence
-    #: verdicts.  Like the timing fields, these describe the *run*, not
+    #: whole results served — a recorded determinism result for the
+    #: post-pruning work set, and a recorded full-catalog idempotence
+    #: verdict.  Like the timing fields, these describe the *run*, not
     #: the manifest: incremental and from-scratch rows agree on
     #: everything else.
     subtree_reuse_hits: int = 0
     #: Always 0: no store section holds CNF encodings any more.  Kept
     #: so rows (schema version 5) and their readers keep the field.
     cnf_cache_hits: int = 0
-    #: Resource-pair commutativity verdicts served from the store
-    #: instead of recomputed from footprints.
+    #: Always 0: no store section holds commutativity verdicts any
+    #: more.  Kept for the same reason as ``cnf_cache_hits``.
     commute_cache_hits: int = 0
 
 
@@ -368,209 +368,6 @@ class _Explorer:
             )
 
 
-class _IncrementalExplorer(_Explorer):
-    """An :class:`_Explorer` that reads and writes the persistent
-    exploration store (:mod:`repro.service.incremental`).
-
-    Differences from the base walk, all invisible to the verdict:
-
-    - the commutativity matrix is served per-pair from the store
-      (identical booleans — :func:`footprints_commute` is pure);
-    - on the *first* arrival at an interior ``(remaining, state)``
-      node, the store is consulted; a hit **grafts** the recorded
-      subtree — its final-state digests and effort counters are taken
-      on faith and the subtree is not walked.  Grafted finals have no
-      term-level states, so the caller may conclude *deterministic*
-      only when every final digest (explored and grafted) coincides;
-      any other outcome discards the grafted run and re-runs from
-      scratch (see ``check_determinism``).  Grafted effort counters
-      are kept out of :attr:`branches` so the budget check behaves
-      like the explored walk;
-    - every arrival DAG edge is recorded so a clean, graft-free,
-      *drained* walk can spill each subtree's standalone result for
-      future runs (a walk stopped at the first divergence leaves
-      subtrees half explored, so it spills nothing).
-    """
-
-    def __init__(self, graph, programs, bank, options, deadline, inc):
-        super().__init__(graph, programs, bank, options, deadline)
-        self.inc = inc
-        from repro.service.incremental import state_digest
-
-        self._state_digest_fn = state_digest
-        matrix, self.commute_hits = inc.commutativity(self.prints)
-        self.commutes = matrix
-        self.grafted = False
-        self.subtree_hits = 0
-        self.graft_final_digests: set = set()
-        self.graft_branches = 0
-        self.graft_memo = 0
-        self.graft_merged = 0
-        #: walk key -> dense index; per-index persistent digests.
-        self._index: Dict[tuple, int] = {}
-        self._subtree_digest: Dict[int, str] = {}
-        self._state_digest: Dict[int, str] = {}
-        self._is_final: Dict[int, bool] = {}
-        self._edges: List[Tuple[int, int]] = []
-
-    def _arrive(self, remaining: frozenset, state) -> int:
-        """Index a first arrival, computing its persistent digests."""
-        key = (remaining, state.fingerprint())
-        idx = len(self._index)
-        self._index[key] = idx
-        sd = self._state_digest_fn(self.bank, state)
-        self._state_digest[idx] = sd
-        self._subtree_digest[idx] = self.inc.subtree_key(remaining, sd)
-        self._is_final[idx] = not remaining
-        return idx
-
-    def walk(self, init):
-        from repro.smt.encoder import apply_expr
-
-        arrivals: Dict[tuple, int] = {}
-        remaining = frozenset(self.graph.nodes)
-        root_idx = self._arrive(remaining, init)
-        stack: List[Tuple[frozenset, SymbolicState, tuple, int]] = [
-            (remaining, init, (), root_idx)
-        ]
-        tick = time.perf_counter()
-        while stack:
-            remaining, state, order, idx = stack.pop()
-            if not remaining:
-                final = (state, list(order))
-                self.finals.append(final)
-                self.explore_seconds += time.perf_counter() - tick
-                yield final
-                tick = time.perf_counter()
-                continue
-            self._check_budget()
-            chosen = self.frontier(remaining)
-            pending = []
-            for n in chosen:
-                self.branches += 1
-                next_state = apply_expr(
-                    self.bank, state, self.programs[n]
-                )
-                next_remaining = remaining - {n}
-                key = (next_remaining, next_state.fingerprint())
-                count = arrivals.get(key, 0)
-                arrivals[key] = count + 1
-                if count:
-                    self.memo_hits += 1
-                    if count == 1:
-                        self.states_merged += 1
-                    self._edges.append((idx, self._index[key]))
-                    continue
-                child_idx = self._arrive(next_remaining, next_state)
-                self._edges.append((idx, child_idx))
-                if next_remaining:
-                    entry = self.inc.lookup_subtree(
-                        self._subtree_digest[child_idx]
-                    )
-                    if entry is not None:
-                        self.grafted = True
-                        self.subtree_hits += 1
-                        self.graft_final_digests.update(entry["finals"])
-                        self.graft_branches += entry["branches"]
-                        self.graft_memo += entry["memo"]
-                        self.graft_merged += entry["merged"]
-                        continue
-                pending.append(
-                    (next_remaining, next_state, order + (n,), child_idx)
-                )
-            # Reversed push keeps pop order equal to the base walk's.
-            stack.extend(reversed(pending))
-        self.explore_seconds += time.perf_counter() - tick
-
-    def combined_final_digests(self) -> set:
-        """Digests of every final — explored and grafted.  Hash-consing
-        makes the digest injective within one bank, so size 1 here
-        means every interleaving reaches the same symbolic state."""
-        out = set(self.graft_final_digests)
-        for idx, final in self._is_final.items():
-            if final:
-                out.add(self._state_digest[idx])
-        return out
-
-    def spill(self) -> None:
-        """After a clean, graft-free, drained walk: persist each
-        interior node's standalone subtree summary.  For a sub-DAG
-        with V nodes and E (simple) edges, a standalone exploration
-        from its root reports exactly E branches, E − (V − 1) memo
-        hits, and one merged state per node with local in-degree ≥ 2 —
-        arrivals and edges are in bijection."""
-        if self.grafted:
-            return
-        count = len(self._index)
-        if count == 0 or count > self.inc.SPILL_MAX_NODES:
-            return
-        children: List[List[int]] = [[] for _ in range(count)]
-        outdeg = [0] * count
-        for p, c in self._edges:
-            children[p].append(c)
-            outdeg[p] += 1
-        # Reachability masks, children before parents (a child's index
-        # can exceed its parent's only via memo edges, so iterate until
-        # stable — the DAG is shallow: remaining strictly shrinks, so
-        # |remaining| is a level function and one pass in decreasing
-        # level order suffices.
-        level = {
-            idx: len(key[0]) for key, idx in self._index.items()
-        }
-        reach = [0] * count
-        for idx in sorted(range(count), key=lambda i: level[i]):
-            mask = 1 << idx
-            for c in children[idx]:
-                mask |= reach[c]
-            reach[idx] = mask
-        # Digest collisions (distinct walk nodes, same persistent key)
-        # would make an entry ambiguous; skip those.
-        seen_digest: Dict[str, int] = {}
-        ambiguous: set = set()
-        for idx, dig in self._subtree_digest.items():
-            if dig in seen_digest:
-                ambiguous.add(dig)
-            seen_digest[dig] = idx
-        items: List[Tuple[str, dict]] = []
-        for idx in range(count):
-            if self._is_final[idx]:
-                continue
-            dig = self._subtree_digest[idx]
-            if dig in ambiguous:
-                continue
-            mask = reach[idx]
-            nodes = mask.bit_count()
-            edges = 0
-            indeg: Dict[int, int] = {}
-            for p, c in self._edges:
-                if (mask >> p) & 1:
-                    edges += 1
-                    indeg[c] = indeg.get(c, 0) + 1
-            finals = sorted(
-                self._state_digest[i]
-                for i in range(count)
-                if (mask >> i) & 1 and self._is_final[i]
-            )
-            if not finals:
-                continue  # should not happen; never record an
-                # entry a graft could not conclude from
-            items.append(
-                (
-                    dig,
-                    {
-                        "finals": finals,
-                        "branches": edges,
-                        "memo": edges - (nodes - 1),
-                        "merged": sum(
-                            1 for v in indeg.values() if v >= 2
-                        ),
-                    },
-                )
-            )
-        if items:
-            self.inc.spill_subtrees(items)
-
-
 def check_determinism(
     graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
@@ -674,15 +471,10 @@ def check_determinism(
     stats.modeled_paths = len(domains)
     init = initial_state(bank, domains)
 
-    # Cross-run persistence: only on the memoized path (the graft
-    # bookkeeping assumes the reachable-state DAG) and only for string
-    # node ids (recorded orders and races round-trip through JSON).
+    # Cross-run persistence of whole results: only for string node ids
+    # (recorded orders and races round-trip through JSON).
     inc = None
-    if (
-        options.incremental
-        and options.use_memoization
-        and all(isinstance(n, str) for n in graph.nodes)
-    ):
+    if options.incremental and all(isinstance(n, str) for n in graph.nodes):
         try:
             from repro.service.incremental import DetIncremental
 
@@ -702,12 +494,7 @@ def check_determinism(
         if served is not None:
             served.stats.subtree_reuse_hits += 1
             return served
-        explorer: _Explorer = _IncrementalExplorer(
-            work_graph, work_programs, bank, options, deadline, inc
-        )
-        stats.commute_cache_hits += explorer.commute_hits
-    else:
-        explorer = _Explorer(work_graph, work_programs, bank, options, deadline)
+    explorer = _Explorer(work_graph, work_programs, bank, options, deadline)
     backend = parse_backend_spec(options.solver)
 
     # Eager first-divergence racing.  Each final races against the
@@ -723,9 +510,8 @@ def check_determinism(
     result = None
     sat_index = None
     sat_selector = None
-    drained = False
     walk = explorer.walk(init)
-    base = next(walk, None)  # None only when grafts cover every final
+    base = next(walk)
     for state_i, _order_i in walk:
         # walk() only re-checks the deadline at its next expansion;
         # finals already sitting on the DFS stack would each get a
@@ -765,8 +551,6 @@ def check_determinism(
             # The initial-state constraints alone are unsatisfiable:
             # no pair can ever diverge, skip the remaining queries.
             break
-    else:
-        drained = True
 
     stats.explore_seconds = explorer.explore_seconds
     stats.branches_explored = explorer.branches
@@ -774,32 +558,6 @@ def check_determinism(
     stats.states_merged = explorer.states_merged
     finals = explorer.finals
     stats.distinct_finals = len(finals)
-
-    if inc is not None:
-        stats.subtree_reuse_hits += explorer.subtree_hits
-        stats.branches_explored += explorer.graft_branches
-        stats.memo_hits += explorer.graft_memo
-        stats.states_merged += explorer.graft_merged
-        if drained:
-            explorer.spill()
-        if explorer.grafted:
-            # Some subtrees were served from the store, so `finals`
-            # only covers the explored region.  The graft is
-            # conclusive only when the walk drained and every final
-            # state — explored and grafted — has the same digest;
-            # anything else (including a divergence the eager loop
-            # found) needs the witness a from-scratch walk produces,
-            # so witnesses never depend on the store's temperature.
-            combined = explorer.combined_final_digests()
-            stats.distinct_finals = len(combined)
-            if drained and len(combined) == 1:
-                stats.total_seconds = time.perf_counter() - start
-                return DeterminismResult(True, stats)
-            scratch = check_determinism(
-                graph, programs, replace(options, incremental=False)
-            )
-            inc.record_root(scratch)
-            return scratch
 
     if query is not None:
         stats.sat_vars = query.cnf.num_vars

@@ -413,11 +413,11 @@ def batch_cache_rows(
 
 def edit_latency_catalog(resources: int = 50, edited: bool = False) -> str:
     """A deterministic ``resources``-file catalog for the edit-latency
-    figure: disjoint paths (every pair commutes), so the verification
-    cost is dominated by the idempotence check — exactly the workload
-    the incremental store's decomposition targets.  ``edited`` changes
-    one resource's content, simulating the developer loop of touching
-    one resource in a large catalog."""
+    figure: disjoint paths (every pair commutes), so elimination leaves
+    at most one resource and the verification cost is dominated by the
+    idempotence check.  ``edited`` changes one resource's content,
+    simulating the developer loop of touching one resource in a large
+    catalog."""
     blocks = []
     for i in range(resources):
         content = f"setting{i} = {i}"
@@ -438,9 +438,10 @@ def warm_reverify_rows(
     """(run, wall seconds, verdict) for the edit-latency figure: verify
     a ``resources``-file catalog from scratch, then with a cold
     incremental store, then re-verify a one-resource edit against the
-    now-hot store.  The warm row is the headline: the store already
-    holds the commutativity verdicts and exploration subtrees of the
-    untouched resources, so only what the edit reaches is re-solved."""
+    now-hot store.  The store keeps only whole results of an unchanged
+    catalog, and the edit changes the catalog's idempotence key, so the
+    warm row is a from-scratch verify plus one store miss and one
+    write: it measures the store's overhead on an edit, not a saving."""
     import tempfile
 
     from repro.service.incremental import reset_store_registry
@@ -492,7 +493,7 @@ def daemon_latency_rows(
     pins its handle open for the process lifetime), so the delta is
     pure service overhead — HTTP parse, executor hop, JSON encode.
     Best-of-``samples`` on each side; each sample edits the catalog
-    differently so every verify re-solves exactly one resource."""
+    differently so no verify is answered from a cache."""
     import json as json_mod
     import tempfile
     import urllib.request

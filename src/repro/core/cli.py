@@ -133,9 +133,9 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--incremental",
         action="store_true",
-        help="reuse intermediate results (commutativity pairs, "
-        "idempotence verdicts, exploration subtrees) from a persistent store across "
-        "runs; verdicts are byte-identical to from-scratch runs "
+        help="reuse the whole determinism and idempotence verdicts of "
+        "an unchanged (post-pruning) catalog from a persistent store "
+        "across runs; verdicts are byte-identical to from-scratch runs "
         "(default: off, or REHEARSAL_INCREMENTAL=1)",
     )
     parser.add_argument(
@@ -588,9 +588,9 @@ def build_cache_parser() -> argparse.ArgumentParser:
         description=(
             "Inspect and manage the on-disk caches: the verdict cache "
             "(one JSON entry per verified manifest) and the "
-            "incremental store (commutativity pairs, idempotence "
-            "verdicts, exploration subtrees reused across runs).  Both live in "
-            "the cache directory (REHEARSAL_CACHE_DIR, else "
+            "incremental store (whole determinism and idempotence "
+            "verdicts of unchanged post-pruning catalogs, reused across "
+            "runs).  Both live in the cache directory (REHEARSAL_CACHE_DIR, else "
             "$XDG_CACHE_HOME/rehearsal)."
         ),
     )

@@ -12,10 +12,9 @@ owned by their bank; identity comparison is valid within one bank.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class TermBank:
         self._intern[("true",)] = self.TRUE
         self._intern[("false",)] = self.FALSE
         self._vars: Dict[str, Term] = {}
-        self._digests: Dict[int, str] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -192,19 +190,6 @@ class TermBank:
     def num_terms(self) -> int:
         return len(self._intern)
 
-    def digest(self, t: Term) -> str:
-        """Stable structural digest of ``t``, memoized per bank.
-
-        See :func:`structural_digest` for the stability contract.  The
-        memo is keyed by uid, which is safe because uids are never
-        reused within a bank.
-        """
-        cached = self._digests.get(t.uid)
-        if cached is not None:
-            return cached
-        structural_digest(t, self._digests)
-        return self._digests[t.uid]
-
     def variables(self, t: Term) -> set[str]:
         """Variable names occurring in a term DAG."""
         out: set[str] = set()
@@ -248,52 +233,6 @@ class TermBank:
             return value
 
         return go(t)
-
-
-def structural_digest(t: Term, memo: Optional[Dict[int, str]] = None) -> str:
-    """Content digest of a term that is stable across processes.
-
-    Uids are process-local (interning order depends on construction
-    order), so anything persisted across runs must key on structure
-    instead.  Two subtleties make a naive hash unstable:
-
-    - ``_nary`` sorts and/or arguments *by uid*, so the same formula
-      built in a different order carries its arguments in a different
-      order.  The digest therefore hashes the **sorted child digests**
-      for and/or nodes — order-insensitive, matching the semantics.
-    - Banks constant-fold identically regardless of order, so equal
-      formulas always reach this function as DAGs with equal node
-      *sets*; only argument order can differ.
-
-    ``memo`` maps uid -> hex digest and may be shared across calls
-    within one bank (uids are never reused).
-    """
-    if memo is None:
-        memo = {}
-    stack = [t]
-    while stack:
-        cur = stack[-1]
-        if cur.uid in memo:
-            stack.pop()
-            continue
-        pending = [a for a in cur.args if a.uid not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if cur.kind == "true":
-            payload = b"T"
-        elif cur.kind == "false":
-            payload = b"F"
-        elif cur.kind == "var":
-            payload = b"v:" + cur.name.encode("utf-8")
-        elif cur.kind == "not":
-            payload = b"n:" + memo[cur.args[0].uid].encode("ascii")
-        else:  # and / or
-            child = sorted(memo[a.uid] for a in cur.args)
-            payload = cur.kind.encode("ascii") + b":" + ":".join(child).encode("ascii")
-        memo[cur.uid] = hashlib.blake2b(payload, digest_size=16).hexdigest()
-    return memo[t.uid]
 
 
 def iter_dag(t: Term) -> Iterator[Term]:

@@ -1,20 +1,19 @@
 """Cross-run incremental verification store (ROADMAP #4).
 
 The verdict cache (:mod:`repro.service.cache`) memoizes whole-manifest
-results: one edited line invalidates everything.  This module keys the
-*intermediate* results on content digests instead, so a re-verify after
-a small edit reuses everything the edit did not invalidate:
+results in one process, keyed on the source text.  This store keeps
+whole analysis results across processes, keyed on content digests of
+what the analyses actually consume, so a fresh process re-verifying an
+unchanged catalog skips exploration, SAT and idempotence:
 
-- **Commutativity verdicts** (``commute`` section): one bool per
-  resource-pair *footprint* digest, so unchanged pairs skip
-  :func:`repro.analysis.commutativity.footprints_commute`.
+- **Root determinism results** (``det_root``): the verdict, stats and
+  witness material, keyed by the post-pruning work set (see
+  :class:`DetIncremental`).  An edit that pruning removes (a private
+  path) still hits.
 - **Full-catalog idempotence** (``idem_full``): the ``e ≡ e; e``
   verdict and witness, keyed by the catalog's per-resource program
   digests in topological order (see
   :func:`check_idempotence_incremental`).
-- **Exploration subtrees** (``explore``) and **root determinism
-  results** (``det_root``): see :mod:`repro.analysis.determinism` for
-  the graft rules and the scratch-rerun parity guard.
 
 Storage is a single SQLite database (stdlib ``sqlite3``), versioned by
 ``STORE_VERSION`` *and* the package version: any mismatch drops the
@@ -28,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import sqlite3
 import threading
 import time
@@ -36,7 +34,6 @@ from pathlib import Path as OsPath
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro import __version__
-from repro.analysis.commutativity import Footprint, footprints_commute
 from repro.analysis.idempotence import IdempotenceResult, check_idempotence
 from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem, eval_expr, seq
@@ -49,7 +46,7 @@ NodeId = Hashable
 #: Bump to invalidate every persisted entry (layout or semantics
 #: change).  The package version is part of the gate too, mirroring the
 #: verdict cache's version rotation.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 _STORE_FILENAME = "incremental.sqlite"
 
@@ -164,34 +161,6 @@ class IncrementalStore:
                 self._trip()
                 return None
         return row[0] if row else None
-
-    def get_many(
-        self, section: str, keys: Iterable[str]
-    ) -> Dict[str, str]:
-        """Batched lookup (one SELECT per ~500 keys) — the warm path
-        asks for hundreds of pair verdicts at once and per-key queries
-        would dominate the very latency this store exists to remove."""
-        out: Dict[str, str] = {}
-        if self.disabled:
-            return out
-        keys = list(keys)
-        with self._lock:
-            if self._conn is None:
-                return out
-            try:
-                for i in range(0, len(keys), 500):
-                    chunk = keys[i : i + 500]
-                    marks = ",".join("?" * len(chunk))
-                    rows = self._conn.execute(
-                        f"SELECT key, value FROM entries "
-                        f"WHERE section=? AND key IN ({marks})",
-                        [section, *chunk],
-                    ).fetchall()
-                    out.update(rows)
-            except sqlite3.Error:
-                self._trip()
-                return {}
-        return out
 
     def put(self, section: str, key: str, value: str) -> None:
         self.put_many(section, [(key, value)])
@@ -384,87 +353,15 @@ def _ast_repr(obj: object) -> str:
     return repr(obj)
 
 
-def footprint_digest(fp: Footprint) -> str:
-    """Stable digest of a footprint — the commutativity cache key
-    material (two resources with equal footprints share verdicts)."""
-    accesses = sorted((str(p), a.name) for p, a in fp.accesses)
-    children = sorted(str(p) for p in fp.children_reads)
-    return _blake(f"fp:{accesses!r}:{children!r}")
-
-
 def domains_digest(domains) -> str:
-    """Digest of the modeled path domains (Fig. 8).  Part of every
-    exploration key: a content edit can grow a path's value domain, and
-    states over different domains are never interchangeable."""
+    """Digest of the modeled path domains (Fig. 8).  Part of the root
+    key: a content edit can grow a path's value domain, and results
+    over different domains are never interchangeable."""
     parts = []
     for p in domains.paths:
         values = ",".join(repr(v) for v in domains.values(p))
         parts.append(f"{p}=[{values}]")
     return _blake("dom:" + ";".join(parts))
-
-
-def state_digest(bank, state) -> str:
-    """Stable digest of a symbolic state: the ``ok`` term plus every
-    path's value indicators, all via structural term digests.  Within
-    one bank this is injective exactly like
-    :meth:`~repro.smt.state.SymbolicState.fingerprint` (hash-consing
-    makes structural equality identity), but unlike the fingerprint it
-    survives across processes."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(bank.digest(state.ok).encode("ascii"))
-    for path, value in sorted(
-        state.fs.items(), key=lambda kv: str(kv[0])
-    ):
-        h.update(str(path).encode("utf8"))
-        for dv, term in sorted(
-            value.indicators.items(), key=lambda kv: repr(kv[0])
-        ):
-            h.update(repr(dv).encode("utf8"))
-            h.update(bank.digest(term).encode("ascii"))
-    return h.hexdigest()
-
-
-# -- cached commutativity matrix ---------------------------------------------
-
-
-def cached_commutativity_matrix(
-    footprints: Mapping[NodeId, Footprint],
-    store: Optional[IncrementalStore],
-) -> Tuple[Dict[NodeId, Dict[NodeId, bool]], int]:
-    """All-pairs commutativity, with per-pair verdicts persisted by
-    footprint digest.  Returns ``(matrix, cache_hits)``; with no store
-    this is exactly :func:`commutativity_matrix`."""
-    keys = list(footprints)
-    matrix: Dict[NodeId, Dict[NodeId, bool]] = {k: {k: True} for k in keys}
-    if store is None:
-        from repro.analysis.commutativity import commutativity_matrix
-
-        return commutativity_matrix(footprints), 0
-    digests = {k: footprint_digest(footprints[k]) for k in keys}
-    pair_key: Dict[Tuple[NodeId, NodeId], str] = {}
-    for i, a in enumerate(keys):
-        for b in keys[i + 1 :]:
-            da, db = sorted((digests[a], digests[b]))
-            pair_key[(a, b)] = f"{da}:{db}"
-    cached = store.get_many("commute", set(pair_key.values()))
-    hits = 0
-    fresh: Dict[str, str] = {}
-    for (a, b), key in pair_key.items():
-        raw = cached.get(key)
-        if raw is None:
-            raw = fresh.get(key)
-        if raw is not None:
-            commute = raw == "1"
-            if key not in fresh:
-                hits += 1
-        else:
-            commute = footprints_commute(footprints[a], footprints[b])
-            fresh[key] = "1" if commute else "0"
-        matrix[a][b] = commute
-        matrix[b][a] = commute
-    if fresh:
-        store.put_many("commute", list(fresh.items()))
-    return matrix, hits
 
 
 # -- incremental idempotence -------------------------------------------------
@@ -563,27 +460,16 @@ def _det_options_digest(options) -> str:
 class DetIncremental:
     """Store context for one :func:`check_determinism` run.
 
-    Holds the digests that key this manifest's exploration state:
-
-    - ``root_key`` identifies the whole post-pass work set (programs
-      after elimination/pruning/simplification, induced edges, modeled
-      domains, analysis options).  The ``det_root`` section maps it to
-      a complete recorded result — an unchanged work set (e.g. an edit
-      to a pruned-away private path) is served without exploring.
-    - :meth:`subtree_key` identifies one ``(remaining, state)``
-      exploration node; the ``explore`` section maps it to that
-      subtree's final-state digests plus the effort counters a
-      standalone exploration from there would report.
+    ``root_key`` identifies the whole post-pass work set (programs
+    after elimination/pruning/simplification, induced edges, modeled
+    domains, analysis options).  The ``det_root`` section maps it to a
+    complete recorded result — an unchanged work set (e.g. an edit to a
+    pruned-away private path) is served without exploring.
 
     Creation is infallible-by-construction: :meth:`create` returns
     None whenever storage is unusable, and every lookup validates the
     entry shape — a damaged record is a miss, never a wrong verdict.
     """
-
-    #: Walks with more distinct exploration nodes than this are not
-    #: spilled (quadratic post-pass; such manifests are near the branch
-    #: budget anyway).
-    SPILL_MAX_NODES = 600
 
     def __init__(
         self,
@@ -598,25 +484,17 @@ class DetIncremental:
         self.store = store
         self.graph = graph
         self.programs = programs
-        self.domain_digest = domains_digest(domains)
-        self.opts_digest = _det_options_digest(options)
-        self.work_digests: Dict[NodeId, str] = {
-            n: expr_digest(work_programs[n]) for n in work_graph.nodes
-        }
-        self._edge_list = list(work_graph.edges)
         self.orig_digests = sorted(
             (str(n), expr_digest(programs[n])) for n in graph.nodes
         )
         work_set = sorted(
-            (str(n), d) for n, d in self.work_digests.items()
+            (str(n), expr_digest(work_programs[n])) for n in work_graph.nodes
         )
-        work_edges = sorted(
-            (str(u), str(v)) for u, v in self._edge_list
-        )
+        work_edges = sorted((str(u), str(v)) for u, v in work_graph.edges)
         self.root_key = _blake(
             "det_root:"
-            + self.opts_digest
-            + self.domain_digest
+            + _det_options_digest(options)
+            + domains_digest(domains)
             + repr(work_set)
             + repr(work_edges)
         )
@@ -641,47 +519,6 @@ class DetIncremental:
             return None
         return cls(
             store, graph, programs, work_graph, work_programs, domains, options
-        )
-
-    # -- exploration subtrees ------------------------------------------------
-
-    def subtree_key(self, remaining: frozenset, state_dig: str) -> str:
-        rem = sorted((str(n), self.work_digests[n]) for n in remaining)
-        edges = sorted(
-            (str(u), str(v))
-            for u, v in self._edge_list
-            if u in remaining and v in remaining
-        )
-        return _blake(
-            "explore:"
-            + self.opts_digest
-            + self.domain_digest
-            + repr(rem)
-            + repr(edges)
-            + state_dig
-        )
-
-    def lookup_subtree(self, key: str) -> Optional[dict]:
-        entry = self.store.get_json("explore", key)
-        if entry is None:
-            return None
-        finals = entry.get("finals")
-        if not (
-            isinstance(finals, list)
-            and finals
-            and all(isinstance(f, str) for f in finals)
-            and all(
-                isinstance(entry.get(k), int)
-                for k in ("branches", "memo", "merged")
-            )
-        ):
-            return None
-        return entry
-
-    def spill_subtrees(self, items: List[Tuple[str, dict]]) -> None:
-        self.store.put_many(
-            "explore",
-            [(k, json.dumps(v, sort_keys=True)) for k, v in items],
         )
 
     # -- whole-result cache --------------------------------------------------
@@ -816,10 +653,3 @@ class DetIncremental:
                 else None
             )
         self.store.put_json("det_root", self.root_key, entry)
-
-    # -- commutativity -------------------------------------------------------
-
-    def commutativity(
-        self, footprints: Mapping[NodeId, Footprint]
-    ) -> Tuple[Dict[NodeId, Dict[NodeId, bool]], int]:
-        return cached_commutativity_matrix(footprints, self.store)

@@ -27,7 +27,8 @@ from repro.core.pipeline import VerificationReport
 #: ``cnf_cache_hits``, ``commute_cache_hits`` — see
 #: :mod:`repro.service.incremental`); all three are zero on
 #: from-scratch runs, so incremental and scratch rows stay comparable
-#: field-for-field.  The version participates in the verdict cache key
+#: field-for-field, and the last two are now zero on every run.  The
+#: version participates in the verdict cache key
 #: (:func:`repro.service.cache.cache_key`), so entries written under
 #: an older schema rotate out instead of deserializing incompletely.
 SCHEMA_VERSION = 5
@@ -80,6 +81,8 @@ class ManifestResult:
     #: they describe the *run*, not the verdict — a from-scratch run
     #: reports zeros for the byte-identical verdict.
     subtree_reuse_hits: int = 0
+    #: Always 0: the store no longer keeps CNF blocks or commutativity
+    #: pairs.  Both stay until the next row-schema bump.
     cnf_cache_hits: int = 0
     commute_cache_hits: int = 0
     sha256: str = ""

@@ -5,12 +5,14 @@ Each path's state ranges over the finite domain
 computed by a content-flow analysis over the program (literals written
 to the path, contents reachable through ``cp`` chains, contents named
 by predicates) plus two *generic* contents ω₁, ω₂ representing
-arbitrary contents distinct from every literal.  Two generics suffice
-for completeness: predicates never inspect contents, so the only way
-contents are observed is equality of final states, and with two
+arbitrary contents distinct from every literal.  Contents are observed
+in two ways: by ``filecontains?`` predicates, which only compare against
+a literal, and by equality of final states.  A literal tested at a path
+is therefore also in the domain of every path that can ``cp`` into it,
+since an initial content copied there can pass the test.  Beyond the
+tested literals, two generics suffice for completeness: with two
 generics any two independent initial contents can always be made to
-differ (see DESIGN.md).  Contents are only ever observed through
-equality of final states, never by predicates.
+differ (see DESIGN.md).
 
 A symbolic value is an *indicator map*: domain value → boolean term
 (the formula under which the path holds that value).  Under the
@@ -94,6 +96,7 @@ class PathDomains:
         exprs = list(exprs)
         paths = domain_of(exprs)
         contents: Dict[Path, set[str]] = {p: set() for p in paths}
+        tested: Dict[Path, set[str]] = {}
         copies: list[tuple[Path, Path]] = []
         for e in exprs:
             for node in fx.subexpressions(e):
@@ -104,9 +107,22 @@ class PathDomains:
                 elif isinstance(node, fx.If):
                     for pred in _pred_nodes(node.pred):
                         if isinstance(pred, fx.IsFileWith):
-                            contents.setdefault(pred.path, set()).add(
+                            tested.setdefault(pred.path, set()).add(
                                 pred.content
                             )
+        # A tested literal flows backwards along cp: the source may
+        # initially hold it, and the copy then passes the test.
+        changed = True
+        while changed:
+            changed = False
+            for src, dst in copies:
+                dst_set = tested.get(dst, set())
+                src_set = tested.setdefault(src, set())
+                if not dst_set <= src_set:
+                    src_set |= dst_set
+                    changed = True
+        for path, literals in tested.items():
+            contents.setdefault(path, set()).update(literals)
         changed = True
         while changed:
             changed = False

@@ -51,6 +51,17 @@ class TestEquivalence:
             creat("/f", "b"), res.witness_fs
         )
 
+    def test_tested_content_reaches_copy_source(self):
+        """A literal tested after a cp can be the source's initial
+        content, so the source's domain must hold it."""
+        e1 = seq(cp("/a", "/b"), ite(file_with(Path.of("/b"), "x"), ERR, ID))
+        e2 = cp("/a", "/b")
+        res = check_equivalence(e1, e2)
+        assert not res.equivalent
+        assert eval_expr(e1, res.witness_fs) != eval_expr(
+            e2, res.witness_fs
+        )
+
     def test_semantic_commute(self):
         assert check_commutes_semantically(
             creat("/f", "x"), creat("/g", "y")
@@ -72,6 +83,26 @@ class TestEquivalence:
             )
 
         assert check_commutes_semantically(set_marker(), set_marker())
+
+
+class TestDeterminismOverCopiedContent:
+    def test_race_on_copied_content_found(self):
+        """Testing /b before or after the copy into it differs only
+        when /a holds the tested literal."""
+        from repro.analysis import check_determinism
+
+        programs = {
+            "copy": cp("/a", "/b"),
+            "probe": ite(file_with(Path.of("/b"), "x"), creat("/c", "y"), ID),
+        }
+        g = DiGraph()
+        g.add_nodes_from(programs)
+        res = check_determinism(g, programs)
+        assert not res.deterministic
+        first, second = res.witness_orders
+        e1 = seq(*[programs[n] for n in first])
+        e2 = seq(*[programs[n] for n in second])
+        assert eval_expr(e1, res.witness_fs) != eval_expr(e2, res.witness_fs)
 
 
 class TestIdempotence:
@@ -106,6 +137,20 @@ class TestIdempotence:
         e = seq(copy, delete)
         res = check_idempotence_expr(e)
         assert not res.idempotent
+
+    def test_retest_of_copied_content_not_idempotent(self):
+        """The first run copies x into /q; the second then takes the
+        branch that copies /q onto itself, which errors."""
+        q = Path.of("/q")
+        e = ite(
+            file_with(q, "x"),
+            cp(q, q),
+            seq(rm(q), cp("/p/c", q)),
+        )
+        res = check_idempotence_expr(e)
+        assert not res.idempotent
+        w = res.witness_fs
+        assert eval_expr(seq(e, e), w) != eval_expr(e, w)
 
     def test_file_resource_idempotent(self):
         compiler = ResourceCompiler()

@@ -274,3 +274,23 @@ class TestSatQueries:
         assert result.sat
         witness = decode_filesystem(domains, result.named_model)
         assert eval_expr(e1, witness) != eval_expr(e2, witness)
+
+
+class TestContentDomains:
+    def test_tested_literal_flows_back_along_a_cp_chain(self):
+        """filecontains?(c, x) after cp a b; cp b c: every path on the
+        chain may initially hold x, so each domain must have it."""
+        a, b, c = Path.of("/a"), Path.of("/b"), Path.of("/c")
+        e = seq(cp(a, b), cp(b, c), ite(file_with(c, "x"), ERR, ID))
+        domains = PathDomains.for_exprs([e])
+        for p in (a, b, c):
+            assert "x" in domains.contents(p)
+
+    def test_created_literal_does_not_flow_back(self):
+        """Only tested literals flow backwards; a literal written at
+        the destination stays out of the source's domain."""
+        a, b = Path.of("/a"), Path.of("/b")
+        e = seq(creat(b, "y"), rm(b), cp(a, b))
+        domains = PathDomains.for_exprs([e])
+        assert "y" in domains.contents(b)
+        assert "y" not in domains.contents(a)
