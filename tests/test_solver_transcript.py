@@ -1,6 +1,7 @@
 """The corpus solve transcript is pinned exactly.
 
-For every corpus manifest, ``tests/data/solver-transcript.json`` holds
+For every corpus manifest (the 13 benchmarks and their 6 fixed
+variants), ``tests/data/solver-transcript.json`` holds
 one entry per ``Solver.solve`` call that verifying it makes: the
 answer, the solver's conflicts, decisions, propagations and restarts,
 and a sha256 of the model and the unsat core.  Effort counters are the
@@ -23,7 +24,7 @@ TRANSCRIPT = ROOT / "tests" / "data" / "solver-transcript.json"
 PROBE = """
 import hashlib, json
 from repro.analysis.determinism import DeterminismOptions
-from repro.corpus import CASES, load_source
+from repro.corpus import CASES, FIXED_VARIANTS, load_source
 from repro.sat.solver import Solver
 from repro.service import BatchVerifier
 
@@ -39,7 +40,7 @@ def recording_solve(self, *args, **kwargs):
 
 Solver.solve = recording_solve
 transcript = {}
-for name in sorted(CASES):
+for name in sorted([*CASES, *FIXED_VARIANTS]):
     calls = []
     verifier = BatchVerifier(DeterminismOptions(incremental=False), workers=1, cache=None)
     verifier.verify_sources([(name, load_source(name))])
