@@ -18,14 +18,21 @@ omits it), and ``rm``/``emptydir?`` record a *children read* on the
 directory, which conflicts with writes to any descendant (the
 emptiness of a directory observes children that never appear in the
 program text, mirroring the Fig. 8 fresh-child completion).
+
+:func:`conflict_matrix` refines the pairwise check with the resource
+graph: a path that an ancestor of either resource already left as a
+directory, and that no resource in the graph writes, cannot conflict
+(see its docstring for the soundness argument).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Set
 
+from repro.digraph import DiGraph, ancestors
 from repro.fs import syntax as fx
 from repro.fs.paths import Path
 
@@ -56,16 +63,20 @@ class Footprint:
 
     accesses: "FrozenSet[tuple[Path, Access]]"
     children_reads: FrozenSet[Path]
+    #: Paths the expression leaves as a directory on every successful
+    #: run (guarded mkdirs, joined over ``Seq`` and ``If``).
+    ensured: FrozenSet[Path] = frozenset()
 
-    @property
+    # Cached: the pairwise checks read these for every pair.
+    @cached_property
     def reads(self) -> FrozenSet[Path]:
         return frozenset(p for p, a in self.accesses if a == Access.READ)
 
-    @property
+    @cached_property
     def writes(self) -> FrozenSet[Path]:
         return frozenset(p for p, a in self.accesses if a == Access.WRITE)
 
-    @property
+    @cached_property
     def dir_ensures(self) -> FrozenSet[Path]:
         return frozenset(p for p, a in self.accesses if a == Access.DIRED)
 
@@ -119,9 +130,14 @@ class _Analyzer:
             self.pred(a.left)
             self.pred(a.right)
 
-    def expr(self, e: fx.Expr) -> None:
-        if isinstance(e, (fx.Id, fx.Err)):
-            return
+    def expr(self, e: fx.Expr) -> Optional[FrozenSet[Path]]:
+        """Record ``e``'s accesses; return the paths it leaves as a
+        directory on every successful run (``None``: ``e`` never
+        succeeds, so every path vacuously is one)."""
+        if isinstance(e, fx.Err):
+            return None
+        if isinstance(e, fx.Id):
+            return frozenset()
         guarded = _match_guarded_mkdir(e)
         if guarded is not None:
             # Fig. 9b: D only when the current value is ⊑ D and the
@@ -134,7 +150,7 @@ class _Analyzer:
             else:
                 self.read(guarded.parent())
                 self.write(guarded)
-            return
+            return frozenset((guarded,))
         if isinstance(e, fx.Mkdir):
             self.read(e.path.parent())
             self.write(e.path)
@@ -149,21 +165,30 @@ class _Analyzer:
             self.read(e.dst.parent())
             self.write(e.dst)
         elif isinstance(e, fx.Seq):
-            self.expr(e.first)
-            self.expr(e.second)
+            first = self.expr(e.first)
+            second = self.expr(e.second)
+            if first is None or second is None:
+                return None
+            return first | second
         elif isinstance(e, fx.If):
             self.pred(e.pred)
             before = dict(self.state)
-            self.expr(e.then_branch)
+            then_ensured = self.expr(e.then_branch)
             then_state = self.state
             self.state = before
-            self.expr(e.else_branch)
+            else_ensured = self.expr(e.else_branch)
             merged = dict(self.state)
             for p, a in then_state.items():
                 merged[p] = _lub(merged.get(p, Access.BOT), a)
             self.state = merged
+            if then_ensured is None:
+                return else_ensured
+            if else_ensured is None:
+                return then_ensured
+            return then_ensured & else_ensured
         else:
             raise TypeError(f"unknown expression: {e!r}")
+        return frozenset()
 
 
 def _match_guarded_mkdir(e: fx.Expr) -> Optional[Path]:
@@ -193,34 +218,37 @@ def _match_guarded_mkdir(e: fx.Expr) -> Optional[Path]:
 def footprint(e: fx.Expr) -> Footprint:
     """Compute the abstract footprint of an expression."""
     analyzer = _Analyzer()
-    analyzer.expr(e)
+    ensured = analyzer.expr(e)
     return Footprint(
         accesses=frozenset(
             (p, a) for p, a in analyzer.state.items() if a != Access.BOT
         ),
         children_reads=frozenset(analyzer.children_reads),
+        # A program that never succeeds ensures every path vacuously;
+        # nothing relies on that, so keep the finite, empty answer.
+        ensured=ensured or frozenset(),
     )
 
 
 def footprints_commute(f1: Footprint, f2: Footprint) -> bool:
     """Lemma 4 (extended): syntactic sufficient condition for
     ``e1; e2 ≡ e2; e1``."""
-    return not (_conflicts(f1, f2) or _conflicts(f2, f1))
+    return not conflicting_paths(f1, f2)
 
 
-def _conflicts(a: Footprint, b: Footprint) -> bool:
-    b_touch_rw = b.reads | b.writes
-    if a.writes & (b_touch_rw | b.dir_ensures):
-        return True
-    if a.dir_ensures & b_touch_rw:
-        return True
-    # Children reads: emptiness of d observes every descendant.
-    grows = b.writes | b.dir_ensures
-    for d in a.children_reads:
-        for p in grows:
-            if d.is_ancestor_of(p):
-                return True
-    return False
+def conflicting_paths(f1: Footprint, f2: Footprint) -> Set[Path]:
+    """The paths on which Lemma 4 fails for the pair (empty exactly
+    when the footprints commute)."""
+    paths: Set[Path] = set()
+    for a, b in ((f1, f2), (f2, f1)):
+        b_touch_rw = b.reads | b.writes
+        paths |= a.writes & (b_touch_rw | b.dir_ensures)
+        paths |= a.dir_ensures & b_touch_rw
+        # Children reads: emptiness of d observes every descendant.
+        grows = b.writes | b.dir_ensures
+        for d in a.children_reads:
+            paths.update(p for p in grows if d.is_ancestor_of(p))
+    return paths
 
 
 def exprs_commute(e1: fx.Expr, e2: fx.Expr) -> bool:
@@ -228,24 +256,47 @@ def exprs_commute(e1: fx.Expr, e2: fx.Expr) -> bool:
     return footprints_commute(footprint(e1), footprint(e2))
 
 
-def commutativity_matrix(
+def conflict_matrix(
+    graph: DiGraph,
     footprints: "Mapping[Hashable, Footprint]",
-) -> "Dict[Hashable, Dict[Hashable, bool]]":
-    """All-pairs :func:`footprints_commute`, computed once.
+) -> "Dict[Hashable, Dict[Hashable, Set[Path]]]":
+    """All-pairs conflicting paths of the graph's resources, refined
+    by the graph, computed once.  ``matrix[a][b]`` is empty exactly
+    when ``a`` and ``b`` commute wherever the order reductions swap
+    them; it is symmetric and the diagonal is empty.
 
-    The determinacy exploration asks "does n commute with m?" on every
-    branch; recomputing the pairwise check there is O(footprint) per
-    query.  This matrix pays the quadratic cost a single time up front
-    and answers every later query with a dict lookup.  Symmetric by
-    construction (commutation is); the diagonal is True.
+    A path ``p`` is *settled* for the pair when an ancestor of ``a``
+    or of ``b`` ensures it (:attr:`Footprint.ensured`) and no resource
+    in the graph writes it; conflicts on settled paths are dropped.
+    (Every conflict is reported on the path whose access causes it,
+    so this equals dropping the accesses first.)  This is sound
+    because the Fig. 9a reduction, the lint prefilter and lint's race
+    confirmation only ever swap two *adjacent* unordered resources,
+    and in a linearization every ancestor of both has run by then.
+    So ``p`` is a directory at the swap (or the state has already
+    errored, and both orders error), and it stays one: only a write
+    changes it.  Each resource's access to ``p`` then reads the same
+    value in both orders or is a no-op ensure.  Children reads are
+    kept, since the children of a settled directory can still change.
     """
     keys = list(footprints)
-    matrix: Dict[Hashable, Dict[Hashable, bool]] = {k: {} for k in keys}
+    written: Set[Path] = set()
+    for fp in footprints.values():
+        written |= fp.writes
+    settled: Dict[Hashable, FrozenSet[Path]] = {}
+    for n in keys:
+        ensured: Set[Path] = set()
+        for c in ancestors(graph, n):
+            ensured |= footprints[c].ensured
+        settled[n] = frozenset(ensured - written)
+    matrix: Dict[Hashable, Dict[Hashable, Set[Path]]] = {
+        k: {k: set()} for k in keys
+    }
     for i, a in enumerate(keys):
         fa = footprints[a]
-        matrix[a][a] = True
         for b in keys[i + 1 :]:
-            commute = footprints_commute(fa, footprints[b])
-            matrix[a][b] = commute
-            matrix[b][a] = commute
+            paths = conflicting_paths(fa, footprints[b])
+            paths -= settled[a] | settled[b]
+            matrix[a][b] = paths
+            matrix[b][a] = paths
     return matrix

@@ -49,7 +49,7 @@ from typing import (
 
 from repro.analysis.commutativity import (
     Footprint,
-    commutativity_matrix,
+    conflict_matrix,
     footprint,
 )
 from repro.analysis.elimination import eliminate_resources
@@ -219,7 +219,7 @@ class _Explorer:
     ``--explain``.
 
     Per-branch costs are hoisted into ``__init__``: the full pairwise
-    commutativity matrix and every node's descendant and predecessor
+    conflict matrix and every node's descendant and predecessor
     sets are computed once (previously ``footprints_commute`` and
     ``descendants`` ran on every ``_explore`` call, O(V·E) per
     branch).
@@ -242,7 +242,7 @@ class _Explorer:
         self.prints: Dict[NodeId, Footprint] = {
             n: footprint(programs[n]) for n in nodes
         }
-        self.commutes = commutativity_matrix(self.prints)
+        self.conflicts = conflict_matrix(graph, self.prints)
         self.descendants: Dict[NodeId, frozenset] = {
             n: frozenset(descendants(graph, n)) for n in nodes
         }
@@ -337,11 +337,11 @@ class _Explorer:
         that is not a descendant of n (descendants always run after n
         in every linearization, so they never need to swap past it)."""
         descendants = self.descendants[n]
-        commutes = self.commutes[n]
+        conflicts = self.conflicts[n]
         for m in remaining:
             if m == n or m in descendants:
                 continue
-            if not commutes[m]:
+            if conflicts[m]:
                 return False
         return True
 
@@ -401,7 +401,7 @@ def check_determinism(
     # pruning, symbolic exploration, and SAT entirely.
     if options.lint_prefilter and graph.number_of_nodes() > 1:
         prints = {n: footprint(programs[n]) for n in graph.nodes}
-        if _unordered_pairs_commute(graph, commutativity_matrix(prints)):
+        if _unordered_pairs_commute(graph, conflict_matrix(graph, prints)):
             stats.prefilter_proved = True
             stats.resources_after_elimination = stats.resources_total
             stats.distinct_finals = 1
@@ -644,7 +644,7 @@ def _unordered_pairs_commute(graph: DiGraph, matrix) -> bool:
         for b in nodes[i + 1 :]:
             if b in reach[a] or a in reach[b]:
                 continue
-            if not matrix[a][b]:
+            if matrix[a][b]:
                 return False
     return True
 

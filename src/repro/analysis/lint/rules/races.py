@@ -1,13 +1,15 @@
 """Race rules (REH005 definite-race, REH006 possible-race).
 
 The candidate set is footprint-based (§4.3, Lemma 4): every unordered
-pair of resources whose footprints conflict.  That check alone
-over-approximates, so each candidate is *self-validated* before being
-reported as definite: the checker builds two complete topological
-linearizations of the whole graph that differ only in the pair's
-order, concretely evaluates both (Fig. 5 reference semantics) from a
-family of well-formed initial states, and promotes the candidate to
-REH005 only when the **full-run outcomes differ**.  A REH005 therefore
+pair of resources whose footprints conflict on a path the graph has
+not settled (:func:`repro.analysis.commutativity.conflict_matrix`).
+That check alone over-approximates, so each candidate is
+*self-validated* before being reported as definite: the checker
+builds two complete topological linearizations of the whole graph
+that differ only in the pair's order, concretely evaluates both
+(Fig. 5 reference semantics) from a family of well-formed initial
+states, and promotes the candidate to REH005 only when the
+**full-run outcomes differ**.  A REH005 therefore
 comes with a replayable witness and is a true positive by
 construction; candidates the budget cannot confirm stay REH006
 warnings.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.commutativity import Footprint, commutativity_matrix
+from repro.analysis.commutativity import conflict_matrix
 from repro.analysis.lint.diagnostics import (
     Diagnostic,
     RaceWitness,
@@ -87,8 +89,7 @@ def races(ctx: LintContext) -> Iterable[Diagnostic]:
         # REH003 errors already make the manifest exit 2.
         return
 
-    footprints = ctx.footprints
-    matrix = commutativity_matrix(footprints)
+    matrix = conflict_matrix(graph, ctx.footprints)
     candidates = _candidates(graph, matrix)
     ctx.report.stats.race_candidates = len(candidates)
     if not candidates:
@@ -103,14 +104,14 @@ def races(ctx: LintContext) -> Iterable[Diagnostic]:
         )
 
     for a, b in candidates:
-        paths = _conflicting_paths(footprints[a], footprints[b])
+        paths = matrix[a][b]
         witness, swept = _confirm(ctx, graph, a, b, states)
         primary, other = sorted(
             (a, b), key=lambda n: (ctx.span_of(n), str(n))
         )
         line, col = ctx.span_of(primary)
         o_line, o_col = ctx.span_of(other)
-        contended = ", ".join(str(p) for p in sorted(paths)) or "error status"
+        contended = ", ".join(str(p) for p in sorted(paths))
         if witness is not None:
             ctx.report.stats.races_confirmed += 1
             ctx.report.race_witnesses.append(witness)
@@ -180,22 +181,8 @@ def _candidates(graph, matrix) -> List[Tuple[object, object]]:
             if b in reach[a] or a in reach[b]:
                 continue
             if matrix[a][b]:
-                continue
-            out.append((a, b))
+                out.append((a, b))
     return out
-
-
-def _conflicting_paths(fa: Footprint, fb: Footprint) -> Set:
-    """The paths on which Lemma 4 fails for this pair (for messages)."""
-    paths: Set = set()
-    for x, y in ((fa, fb), (fb, fa)):
-        touch_rw = y.reads | y.writes
-        paths |= x.writes & (touch_rw | y.dir_ensures)
-        paths |= x.dir_ensures & touch_rw
-        grows = y.writes | y.dir_ensures
-        for d in x.children_reads:
-            paths.update(p for p in grows if d.is_ancestor_of(p))
-    return paths
 
 
 def _placement(graph, a, b, late: bool) -> Tuple[List[object], List[object]]:

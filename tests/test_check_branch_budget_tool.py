@@ -2,7 +2,7 @@
 
 ``tools/check_branch_budget.py`` must be green on the shipped corpus
 and go red, with its own message, on each budget it enforces.  The red
-cases lower one budget below today's numbers (11 branches max, 31
+cases lower one budget below today's numbers (9 branches max, 34
 total, 492 on the Fig. 13 lattice) instead of breaking a reduction, so
 each test trips exactly one check.
 """
@@ -51,11 +51,11 @@ def test_green_on_the_shipped_corpus():
 @pytest.mark.parametrize(
     "constant, value, expected",
     [
-        ("MAX_BRANCHES_PER_MANIFEST", 10, "per-manifest budget of 10"),
-        ("MAX_BRANCHES_TOTAL", 30, "exceeds the budget of 30"),
+        ("MAX_BRANCHES_PER_MANIFEST", 8, "per-manifest budget of 8"),
+        ("MAX_BRANCHES_TOTAL", 33, "exceeds the budget of 33"),
         (
             "EARLY_EXIT_MAX_BRANCHES",
-            10,
+            8,
             "no longer stops at the first diverging final",
         ),
         (
@@ -88,3 +88,19 @@ def test_red_when_memoization_stops_merging(tool, monkeypatch, capsys):
     monkeypatch.setattr(tool, "check_determinism", no_memo_hits)
     assert tool.main() == 1
     assert "zero memo hits" in capsys.readouterr().err
+
+
+def test_red_when_irc_fixed_reaches_sat(tool, monkeypatch, capsys):
+    real = tool.check_determinism
+
+    def one_sat_query(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(
+            result, stats=dataclasses.replace(result.stats, sat_queries=1)
+        )
+
+    monkeypatch.setattr(tool, "check_determinism", one_sat_query)
+    assert tool.main() == 1
+    err = capsys.readouterr().err
+    assert "irc-fixed: 1 finals and 1 SAT queries" in err, err
+    assert "settled directories no longer commute" in err

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import exprs_commute, footprint
-from repro.analysis.commutativity import Access
+from repro.analysis.commutativity import Access, conflict_matrix
+from repro.core.pipeline import Rehearsal
+from repro.corpus import load_source
+from repro.digraph import DiGraph, descendants
 from repro.fs import (
     ERR,
     ID,
@@ -204,3 +207,95 @@ class TestLemma4Soundness:
                 f"claimed commuting but diverge on {fs!r}:\n"
                 f"e1={e1}\ne2={e2}"
             )
+
+
+ETC = Path.of("/etc")
+
+
+def settled_graph(programs, edges):
+    g = DiGraph()
+    g.add_nodes_from(programs)
+    g.add_edges_from(edges)
+    return conflict_matrix(g, {n: footprint(e) for n, e in programs.items()})
+
+
+class TestSettledDirectories:
+    """``conflict_matrix`` drops conflicts on a directory an ancestor
+    already ensured and nothing writes."""
+
+    #: reads /etc (as the parent of its file) and ensures nothing.
+    READER = creat("/etc/key", "k")
+    #: ensures /etc the package way, then writes its own file.
+    PACKAGE = seq(guarded_mkdir(ETC), creat("/etc/pkg.conf", "p"))
+
+    def test_ensured_joins_seq_by_union_and_if_by_intersection(self):
+        usr = Path.of("/usr")
+        both = seq(guarded_mkdir(ETC), guarded_mkdir(usr))
+        assert footprint(both).ensured == {ETC, usr}
+        one_arm = ite(file_(Path.of("/q")), guarded_mkdir(ETC), ID)
+        assert footprint(one_arm).ensured == frozenset()
+        err_arm = ite(file_(ETC), ERR, guarded_mkdir(ETC))
+        assert footprint(err_arm).ensured == {ETC}
+        assert footprint(mkdir("/etc")).ensured == frozenset()
+
+    def test_irc_fixed_pairs_commute(self):
+        graph, programs = Rehearsal().compile(load_source("irc-fixed"))
+        prints = {n: footprint(e) for n, e in programs.items()}
+        key = "Ssh_authorized_key['ircops@admin']"
+        package = "Package['ngircd']"
+        assert not exprs_commute(programs[key], programs[package])
+        matrix = conflict_matrix(graph, prints)
+        reach = {n: descendants(graph, n) | {n} for n in graph.nodes}
+        unordered = [
+            (a, b)
+            for a in graph.nodes
+            for b in graph.nodes
+            if b not in reach[a] and a not in reach[b]
+        ]
+        assert (key, package) in unordered
+        for a, b in unordered:
+            assert not matrix[a][b], (a, b)
+
+    def test_settled_by_a_common_ancestor(self):
+        matrix = settled_graph(
+            {"ensure": guarded_mkdir(ETC), "a": self.READER, "b": self.PACKAGE},
+            [("ensure", "a")],
+        )
+        assert matrix["a"]["b"] == set()
+
+    def test_ensure_in_one_if_arm_stays_conflicting(self):
+        ensure = ite(file_(Path.of("/q")), guarded_mkdir(ETC), ID)
+        matrix = settled_graph(
+            {"ensure": ensure, "a": self.READER, "b": self.PACKAGE},
+            [("ensure", "a"), ("ensure", "b")],
+        )
+        assert matrix["a"]["b"] == {ETC}
+
+    def test_a_writer_anywhere_keeps_the_conflict(self):
+        matrix = settled_graph(
+            {
+                "ensure": guarded_mkdir(ETC),
+                "a": self.READER,
+                "b": self.PACKAGE,
+                "wipe": ite(emptydir_(ETC), rm("/etc"), ID),
+            },
+            [("ensure", "a"), ("ensure", "b"), ("a", "wipe"), ("b", "wipe")],
+        )
+        assert matrix["a"]["b"] == {ETC}
+
+    def test_ensurer_ancestor_of_neither_keeps_the_conflict(self):
+        matrix = settled_graph(
+            {"ensure": guarded_mkdir(ETC), "a": self.READER, "b": self.PACKAGE},
+            [("a", "ensure")],
+        )
+        assert matrix["a"]["b"] == {ETC}
+
+    def test_children_reads_are_kept(self):
+        """A settled directory's children can still change: emptiness
+        of /etc observes the package's new file."""
+        checker = ite(emptydir_(ETC), creat("/flag", "empty"), ID)
+        matrix = settled_graph(
+            {"ensure": guarded_mkdir(ETC), "a": checker, "b": self.PACKAGE},
+            [("ensure", "a"), ("ensure", "b")],
+        )
+        assert matrix["a"]["b"] == {Path.of("/etc/pkg.conf")}

@@ -27,8 +27,10 @@ from repro.fs import (
     creat,
     eval_expr,
     file_,
+    file_with,
     ite,
     mkdir,
+    none_,
     rm,
     seq,
 )
@@ -132,6 +134,34 @@ class TestBasicVerdicts:
         """Determinism permits predictable failure (Definition 1)."""
         g, p = build_graph({"a": ERR, "b": ERR})
         assert check_determinism(g, p).deterministic
+
+
+class TestSatProvesDeterminism:
+    def test_equal_writes_by_different_programs_need_the_solver(self):
+        """Two unordered resources set /f to "x", one testing the
+        content first and the other testing absence first.  The orders
+        leave structurally different final states, so only the SAT
+        backend can prove them equal: this keeps a deterministic
+        verdict that needs a query under test."""
+        p = Path.of("/f")
+        write = seq(rm(p), creat(p, "x"))
+        content_first = ite(
+            file_with(p, "x"),
+            ID,
+            ite(file_(p), write, ite(none_(p), creat(p, "x"), ERR)),
+        )
+        absence_first = ite(
+            none_(p),
+            creat(p, "x"),
+            ite(file_(p), ite(file_with(p, "x"), ID, write), ERR),
+        )
+        g, programs = build_graph(
+            {"content_first": content_first, "absence_first": absence_first}
+        )
+        result = check_determinism(g, programs)
+        assert result.deterministic
+        assert result.stats.distinct_finals == 2
+        assert result.stats.sat_queries >= 1
 
 
 class TestPaperExamples:

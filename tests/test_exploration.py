@@ -29,8 +29,22 @@ from repro.core.pipeline import Rehearsal
 from repro.corpus import load_source
 from repro.digraph import DiGraph
 from repro.errors import AnalysisBudgetExceeded
-from repro.fs import ID, Path, creat, eval_expr, file_, ite, mkdir, rm, seq
+from repro.fs import (
+    ERR,
+    ID,
+    Path,
+    creat,
+    dir_,
+    emptydir_,
+    eval_expr,
+    file_,
+    ite,
+    mkdir,
+    rm,
+    seq,
+)
 from repro.logic.terms import TermBank
+from repro.resources import guarded_mkdir
 from repro.smt.encoder import apply_expr
 from repro.smt.state import initial_state
 from repro.smt.values import PathDomains
@@ -306,6 +320,55 @@ class TestOracleAgreement:
             g, p, DeterminismOptions(use_memoization=False)
         )
         assert on.deterministic == off.deterministic
+
+
+def settled_manifest(rng):
+    """A random graph where an ancestor ensures /etc and its
+    descendants read it: the shape ``conflict_matrix`` refines.  The
+    ensurer sometimes ensures /etc in one ``If`` arm only, and a
+    resource sometimes writes /etc, so both exclusions are drawn."""
+    etc = Path.of("/etc")
+    ensurers = [
+        guarded_mkdir(etc),
+        ite(file_(Path.of("/q")), guarded_mkdir(etc), ID),
+        ite(file_(etc), ERR, guarded_mkdir(etc)),
+    ]
+    others = [
+        creat("/etc/key", "k"),
+        seq(guarded_mkdir(etc), creat("/etc/pkg.conf", "p")),
+        ite(dir_(etc), ID, ERR),
+        conflicting_write("/etc/key", "w"),
+        ite(emptydir_(etc), rm("/etc"), ID),
+        seq(guarded_mkdir(etc), guarded_mkdir(Path.of("/etc/d"))),
+    ]
+    programs = {}
+    for i in range(rng.randint(1, 2)):
+        programs[f"e{i}"] = rng.choice(ensurers)
+    ensurer_names = list(programs)
+    for i in range(rng.randint(2, 3)):
+        programs[f"r{i}"] = rng.choice(others)
+    names = list(programs)
+    edges = []
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            ensurer = a in ensurer_names and b not in ensurer_names
+            if rng.random() < (0.6 if ensurer else 0.2):
+                edges.append((a, b))
+    return build_graph(programs, edges)
+
+
+class TestSettledDirectories:
+    @given(st.integers(min_value=0, max_value=20_000))
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_match_without_commutativity(self, seed):
+        g, p = settled_manifest(random.Random(seed))
+        reduced = check_determinism(g, p)
+        full = check_determinism(
+            g, p, DeterminismOptions(use_commutativity=False)
+        )
+        assert reduced.deterministic == full.deterministic, p
+        if not reduced.deterministic:
+            assert_witness_diverges(reduced, p)
 
 
 class TestConflictCounters:

@@ -120,10 +120,10 @@ def test_verify_incremental_imports_no_pool_loop_or_graph_library(tmp_path):
 
 def test_verify_with_two_resources_left_loads_the_symbolic_stack(tmp_path):
     """irc-fixed keeps all 5 resources after elimination, so it is
-    pruned, explored symbolically and raced on the SAT solver.  Only
+    pruned and explored symbolically, which loads the SAT stack even
+    though its single final state needs no query.  Only
     ``FORBIDDEN`` and the equivalence query stay out: there is no
-    divergence, the query is under 6,000 clauses, and rewriting
-    proves idempotence."""
+    divergence and rewriting proves idempotence."""
     loaded = _probe(tmp_path, "irc-fixed.pp")["loaded"]
     assert set(loaded) == set(SYMBOLIC) - {"repro.analysis.equivalence"}
 

@@ -154,8 +154,8 @@ class TestIncrementalStore:
         opts = incremental_options(tmp_path)
         for name in ("irc-fixed", "ntp-fixed"):
             assert verify(load_source(name), opts, name).ok
-        # irc-fixed reaches exploration and SAT: two or more resources
-        # survive elimination.
+        # irc-fixed reaches exploration: two or more resources survive
+        # elimination.
         irc = verify(load_source("irc-fixed"), scratch_options())
         assert irc.determinism.stats.resources_after_elimination >= 2
         sections = open_store(str(tmp_path)).stats()["sections"]

@@ -49,6 +49,14 @@ CYCLE = (
 )
 MISSING_PARENT = 'file {"/opt/deep/nested/file.conf": content => "x" }'
 PROTECTED = 'file {"/etc/passwd": content => "pwned" }'
+# A file resource and a host entry write the same file with the same
+# content: a real W/W conflict, benign because both orders converge.
+BENIGN_RACE = (
+    'file {"/etc/hosts.d": ensure => directory }\n'
+    'file {"/etc/hosts.d/web": content => "host:web:10.0.0.1",'
+    ' require => File["/etc/hosts.d"] }\n'
+    'host {"web": ip => "10.0.0.1", require => File["/etc/hosts.d"] }'
+)
 CLEAN = (
     'file {"/app": ensure => directory }\n'
     'file {"/app/a.conf": content => "x", require => File["/app"] }'
@@ -176,16 +184,17 @@ class TestDemotion:
     notes, not warnings — 'clean' means no *actionable* diagnostics."""
 
     def test_surviving_candidates_demote_to_note(self):
-        report = lint_source(load_source("irc-fixed"), name="irc-fixed.pp")
+        report = lint_source(BENIGN_RACE, name="benign.pp")
         sixes = [d for d in report.diagnostics if d.rule_id == "REH006"]
-        assert sixes, "irc-fixed has non-commuting but benign pairs"
+        assert sixes, "the file and the host entry write the same file"
+        assert "/etc/hosts.d/web" in sixes[0].paths
         assert all(d.severity == Severity.NOTE for d in sixes)
         assert report.clean and report.exit_code == 0
 
     def test_without_confirmation_they_stay_warnings(self):
         report = lint_source(
-            load_source("irc-fixed"),
-            name="irc-fixed.pp",
+            BENIGN_RACE,
+            name="benign.pp",
             options=LintOptions(confirm_races=False),
         )
         sixes = [d for d in report.diagnostics if d.rule_id == "REH006"]

@@ -58,7 +58,7 @@ def test_confirmation_matches_pin(pinned, name):
 
 @pytest.mark.parametrize("budget", [1, 2, 7, 10, 30])
 def test_small_budget_is_exhausted_and_never_exceeded(budget):
-    """irc-nondet needs 82 evaluations to confirm its two races; below
+    """irc-nondet needs 34 evaluations to confirm its two races; below
     that the budget runs dry, nothing is confirmed, and each candidate
     stays a warning that says why."""
     report = lint_source(
@@ -71,7 +71,7 @@ def test_small_budget_is_exhausted_and_never_exceeded(budget):
     assert stats.confirm_evaluations <= budget
     assert stats.races_confirmed == 0 and not report.race_witnesses
     possible = [d for d in report.diagnostics if d.rule_id == "REH006"]
-    assert len(possible) == stats.race_candidates == 3
+    assert len(possible) == stats.race_candidates == 2
     assert all(
         "unconfirmed within the evaluation budget" in d.message
         for d in possible

@@ -5,9 +5,9 @@ Usage:  PYTHONPATH=src python tools/check_branch_budget.py
 
 Wall-clock regression guards (``compare_baseline.py``) conflate
 machine speed with algorithmic regressions; this check is structural.
-It runs the determinacy analysis over the whole §6 corpus plus the
-Fig. 13 synthetic workload under the production configuration and
-asserts that
+It runs the determinacy analysis over the whole §6 corpus (the 13
+benchmarks and their 6 fixed variants) plus the Fig. 13 synthetic
+workload under the production configuration and asserts that
 
 * every corpus manifest stays within a fixed per-manifest branch
   budget (the corpus is small after elimination/commutativity — a
@@ -15,6 +15,9 @@ asserts that
 * the corpus total stays within a fixed overall budget;
 * irc-nondet, the corpus manifest with the most finals, stops at its
   first diverging final — the eager-racing tripwire;
+* irc-fixed reaches one final and asks SAT nothing: every resource
+  it leaves unordered touches ``/etc`` only after an ancestor has
+  ensured it — the graph-aware commutativity tripwire;
 * the deterministic Fig. 13 variant at n = 6 stays on the
   subset/state lattice (sub-factorial branches, nonzero memo hits) —
   the memoization regression tripwire.  (The non-deterministic
@@ -38,16 +41,22 @@ from repro.bench.harness import (
     synthetic_deterministic_graph,
 )
 from repro.core.pipeline import Rehearsal
-from repro.corpus import BENCHMARK_NAMES, load_source
+from repro.corpus import BENCHMARK_NAMES, FIXED_VARIANTS, load_source
 
-#: Current corpus numbers: 11 branches max (irc-nondet), 31 total.
+CORPUS = BENCHMARK_NAMES + sorted(FIXED_VARIANTS)
+
+#: Current corpus numbers: 9 branches max (irc-nondet), 34 total.
 MAX_BRANCHES_PER_MANIFEST = 150
 MAX_BRANCHES_TOTAL = 250
 
-#: irc-nondet walks 31 branches to all 9 of its finals; racing each
-#: final as it lands stops the walk at the second, after 11.
+#: irc-nondet walks 21 branches to all 5 of its finals; racing each
+#: final as it lands stops the walk at the second, after 9.
 EARLY_EXIT_MANIFEST = "irc-nondet"
-EARLY_EXIT_MAX_BRANCHES = 11
+EARLY_EXIT_MAX_BRANCHES = 9
+
+#: irc-fixed's unordered pairs conflict only on ``/etc``, which an
+#: ancestor ensures and nothing writes, so they all commute.
+NO_SAT_MANIFEST = "irc-fixed"
 
 #: The deterministic Fig. 13 variant at n = 6: the subset/state
 #: lattice has 486 edges (see
@@ -62,12 +71,12 @@ def main() -> int:
     tool = Rehearsal()
     failures = []
     total = 0
-    width = max(len(n) for n in BENCHMARK_NAMES)
+    width = max(len(n) for n in CORPUS)
     print(
         f"{'benchmark'.ljust(width)}  branches  memo hits  "
         "merged  finals"
     )
-    for name in BENCHMARK_NAMES:
+    for name in CORPUS:
         graph, programs = tool.compile(load_source(name))
         stats = check_determinism(
             graph, programs, DeterminismOptions()
@@ -91,6 +100,14 @@ def main() -> int:
                 f"{name}: {stats.branches_explored} branches exceed "
                 f"{EARLY_EXIT_MAX_BRANCHES} — exploration no longer "
                 "stops at the first diverging final"
+            )
+        if name == NO_SAT_MANIFEST and (
+            stats.distinct_finals != 1 or stats.sat_queries
+        ):
+            failures.append(
+                f"{name}: {stats.distinct_finals} finals and "
+                f"{stats.sat_queries} SAT queries, expected 1 and 0 — "
+                "settled directories no longer commute"
             )
     print(f"{'TOTAL'.ljust(width)}  {total:8d}")
     if total > MAX_BRANCHES_TOTAL:
