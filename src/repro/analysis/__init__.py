@@ -3,8 +3,8 @@ pruning (§4.4), resource elimination (§4.4), determinacy (§4, Thm. 1),
 equivalence/idempotence and invariants (§5)."""
 
 # Lazy (PEP 562), like repro itself: importing one analysis (the
-# pipeline imports determinism) must not load repair and the other
-# analyses it never runs.
+# pipeline imports determinism) must not load the other analyses it
+# never runs.
 
 from importlib import import_module
 
@@ -27,7 +27,6 @@ _LAZY_EXPORTS = {
     "InvariantResult": "repro.analysis.invariants",
     "PruneReport": "repro.analysis.pruning",
     "RaceReport": "repro.analysis.localize",
-    "RepairResult": "repro.analysis.repair",
     "TOP": "repro.analysis.definitive",
     "WriteProfile": "repro.analysis.definitive",
     "analyze_definitive": "repro.analysis.definitive",
@@ -48,7 +47,6 @@ _LAZY_EXPORTS = {
     "localize_race": "repro.analysis.localize",
     "prune": "repro.analysis.pruning",
     "prune_manifest": "repro.analysis.pruning",
-    "synthesize_repair": "repro.analysis.repair",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

@@ -14,10 +14,11 @@ that fails:
    every input filesystem (``simplify(x) ≡ x``), so
    ``simplify(e; e) == simplify(e)`` gives
    ``e; e ≡ simplify(e; e) = simplify(e) ≡ e`` on *all* states — a
-   stronger result than the well-formed-initial query.  It succeeds
-   when the partial evaluation of the second copy, run on what the
-   first copy leaves behind, folds every guard towards the no-op
-   branch.
+   stronger result than the well-formed-initial query.
+   :func:`repro.fs.rewrite.proves_idempotent` decides that equality in
+   one rewriting pass: it simplifies ``e`` once, then the second copy
+   from what the first leaves behind, and succeeds when that second
+   copy folds to ``id`` (every guard towards the no-op branch).
 2. **Exact fallback.** Otherwise the SAT query
    ``check_equivalence(e, e; e)`` runs on the unsimplified
    expressions, so every non-idempotent verdict and witness is the
@@ -33,7 +34,7 @@ from typing import Dict, Hashable, Optional
 from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem
 from repro.fs import syntax as fx
-from repro.fs.rewrite import simplify
+from repro.fs.rewrite import proves_idempotent
 
 NodeId = Hashable
 
@@ -56,15 +57,14 @@ def check_idempotence_expr(
 ) -> IdempotenceResult:
     """``e ≡ e; e`` for a single expression."""
     start = time.perf_counter()
-    twice = fx.seq(e, e)
-    if simplify(twice) == simplify(e):
+    if proves_idempotent(e):
         return IdempotenceResult(
             idempotent=True, total_seconds=time.perf_counter() - start
         )
     from repro.analysis.equivalence import check_equivalence
 
     result = check_equivalence(
-        e, twice, well_formed_initial=well_formed_initial
+        e, fx.seq(e, e), well_formed_initial=well_formed_initial
     )
     return IdempotenceResult(
         idempotent=result.equivalent,

@@ -13,8 +13,10 @@ both agree on survives, and when both leave a file whose content
 differs the path is known as ``KFile(None)`` — a file, content
 unknown — rather than dropped.  That join is what lets a re-run of a
 file resource fold (``if file?(p) then id else creat(p, c)`` leaves a
-file either way), so :mod:`repro.analysis.idempotence` can prove
-``e; e ≡ e`` by comparing ``simplify(e; e)`` with ``simplify(e)``.
+file either way), so :func:`proves_idempotent` can prove
+``e; e ≡ e`` in one pass: it simplifies ``e`` once and then the second
+copy from the knowledge the first leaves behind.  Both
+:mod:`repro.analysis.idempotence` and lint's REH011 use it.
 
 ``simplify(e) ≡ e`` for every input filesystem — the property tests
 verify this both concretely and via the SAT-backed equivalence check.
@@ -60,6 +62,20 @@ Knowledge = Union[KDir, KDne, KFile, KExists]
 def simplify(e: fx.Expr) -> fx.Expr:
     out, _ = _simp(e, {})
     return out
+
+
+def proves_idempotent(e: fx.Expr) -> bool:
+    """Whether rewriting proves ``e; e ≡ e`` on every filesystem.
+
+    Exactly ``simplify(seq(e, e)) == simplify(e)``, without simplifying
+    ``e`` twice: ``_simp`` of a ``Seq`` is ``fx.seq(first, second)``,
+    which equals ``first`` only when ``second`` folds to ``id`` (or
+    ``first`` is ``err``, which absorbs the second copy)."""
+    once, k = _simp(e, {})
+    if isinstance(once, fx.Err):
+        return True
+    second, _ = _simp(e, k)
+    return isinstance(second, fx.Id)
 
 
 def _simp(

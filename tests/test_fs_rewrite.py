@@ -27,7 +27,7 @@ from repro.fs import (
 )
 from repro.analysis.idempotence import check_idempotence_expr
 from repro.fs.filesystem import DIR, FileContent
-from repro.fs.rewrite import simplify
+from repro.fs.rewrite import proves_idempotent, simplify
 from repro.fs.syntax import expr_size
 from repro.resources import Resource, ResourceCompiler
 
@@ -144,8 +144,7 @@ class TestSimplifyPreservesSemantics:
         rng = random.Random(seed)
         e = _random_expr(rng, depth=4)
         twice = seq(e, e)
-        proved = simplify(twice) == simplify(e)
-        if proved or check_idempotence_expr(e).idempotent:
+        if proves_idempotent(e) or check_idempotence_expr(e).idempotent:
             for fs in _states():
                 assert eval_expr(twice, fs) == eval_expr(e, fs), (
                     f"e; e differs from e\ne={e}\nfs={fs!r}"
@@ -174,3 +173,45 @@ class TestSimplifyPreservesSemantics:
         ]:
             e = compiler.compile(resource)
             assert check_equivalence(e, simplify(e)).equivalent
+
+
+def _two_pass_proof(e):
+    """The definition :func:`proves_idempotent` decides in one pass."""
+    return simplify(seq(e, e)) == simplify(e)
+
+
+def _corpus_names():
+    from repro.corpus import BENCHMARK_NAMES, FIXED_VARIANTS
+
+    return BENCHMARK_NAMES + sorted(FIXED_VARIANTS)
+
+
+class TestOnePassIdempotenceProof:
+    @given(st.integers(min_value=0, max_value=80_000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_simplify_of_the_doubled_program(self, seed):
+        e = _random_expr(random.Random(seed), depth=4)
+        assert proves_idempotent(e) == _two_pass_proof(e), f"e={e}"
+
+    def test_trivial_programs(self):
+        assert proves_idempotent(ID) and _two_pass_proof(ID)
+        assert proves_idempotent(ERR) and _two_pass_proof(ERR)
+        f = Path.of("/f")
+        assert not proves_idempotent(creat(f, "x"))
+        assert proves_idempotent(ite(file_(f), ID, creat(f, "x")))
+
+    @pytest.mark.parametrize("name", _corpus_names())
+    def test_matches_on_corpus_programs(self, name):
+        """Every corpus resource program, and the manifest's sequenced
+        program, decide the same either way — and all are proved."""
+        from repro import Rehearsal
+        from repro.corpus import load_source
+        from repro.digraph import topological_sort
+
+        graph, programs = Rehearsal().compile(load_source(name))
+        for node, e in programs.items():
+            assert proves_idempotent(e) == _two_pass_proof(e), node
+            assert proves_idempotent(e), f"{node} not proved"
+        whole = seq(*[programs[n] for n in topological_sort(graph)])
+        assert proves_idempotent(whole) == _two_pass_proof(whole)
+        assert proves_idempotent(whole)

@@ -7,8 +7,11 @@ in batch reports, and the ``rehearsal lint`` CLI exit-code contract.
 """
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.determinism import DeterminismOptions
 from repro.analysis.lint import (
@@ -25,7 +28,11 @@ from repro.analysis.lint.engine import Rule, register_rule
 from repro.core.cli import main as cli_main
 from repro.core.pipeline import Rehearsal
 from repro.corpus import load_source
+from repro.fs import ID, cp, creat, eval_expr, file_, ite, none_, rm, seq
 from repro.fs.paths import Path as FsPath
+from repro.fs.rewrite import proves_idempotent
+
+from test_fs_rewrite import _random_expr
 
 # Hand-sized manifests exercising one rule each.
 PARSE_ERROR = "file { bad"
@@ -144,20 +151,6 @@ class TestRules:
         assert "REH010" in rules_of(report)
         assert report.exit_code == 1  # warning, not error
 
-    def test_non_idempotent_program_flagged(self):
-        # The resource model compiles to guarded (idempotent) programs,
-        # so REH011 is exercised at the graph layer with a bare
-        # unguarded creat: applying it twice errors (path exists).
-        from repro.digraph import DiGraph
-
-        from repro.fs import syntax as fx
-
-        graph = DiGraph()
-        graph.add_node("raw")
-        programs = {"raw": fx.Creat(FsPath.of("/x"), "c")}
-        report = lint_graph(graph, programs, name="raw.pp")
-        assert "REH011" in rules_of(report)
-
     def test_clean_manifest_is_clean(self):
         report = lint_source(CLEAN, name="clean.pp")
         assert report.diagnostics == []
@@ -177,6 +170,114 @@ class TestRules:
         dup = next(d for d in report.diagnostics if d.rule_id == "REH004")
         assert (dup.line, dup.col) == (2, 7)  # the later claimant
         assert dup.related and dup.related[0].line == 1
+
+
+def lint_program(node, program):
+    """Lint a one-resource graph whose program is built by hand: the
+    resource model compiles to guarded programs, so REH011's findings
+    are exercised at the graph layer."""
+    from repro.digraph import DiGraph
+
+    graph = DiGraph()
+    graph.add_node(node)
+    return lint_graph(graph, {node: program}, name=f"{node}.pp")
+
+
+@pytest.fixture
+def sampler_calls(monkeypatch):
+    """Programs REH011 hands to its concrete sampler."""
+    from repro.analysis.lint.rules import idempotence as rule
+
+    calls = []
+    sample = rule._sampled_failure
+
+    def counting(program):
+        calls.append(program)
+        return sample(program)
+
+    monkeypatch.setattr(rule, "_sampled_failure", counting)
+    return calls
+
+
+class TestNonIdempotentResource:
+    """REH011 tries the rewriting proof first and samples concrete
+    states only for the resources it cannot prove."""
+
+    P, Q = FsPath.of("/p"), FsPath.of("/q")
+
+    @pytest.mark.parametrize(
+        "program,outcome",
+        [
+            # Unguarded creat: the second run errors (path exists).
+            (creat("/x", "c"), "fails"),
+            # A toggle: removes the file it finds, creates the one it
+            # does not.
+            (
+                ite(file_(P), rm(P), creat(P, "x")),
+                "changes the filesystem again",
+            ),
+        ],
+    )
+    def test_unprovable_and_non_idempotent_fires(
+        self, sampler_calls, program, outcome
+    ):
+        report = lint_program("raw", program)
+        assert [(d.rule_id, d.message) for d in report.diagnostics] == [
+            (
+                "REH011",
+                "raw is not idempotent: a second run from the state the "
+                f"first run produced {outcome}",
+            )
+        ]
+        assert sampler_calls == [program]
+
+    def test_unprovable_but_idempotent_is_sampled_and_quiet(
+        self, sampler_calls
+    ):
+        # ``none?`` refines the else branch only to "exists", so the
+        # rewriter cannot fold the second copy's guard; concretely the
+        # second run always takes the no-op branch.
+        program = ite(none_(self.Q), cp(self.P, self.Q), ID)
+        assert not proves_idempotent(program)
+        report = lint_program("guarded", program)
+        assert report.diagnostics == []
+        assert sampler_calls == [program]
+
+    def test_corpus_needs_no_sampling(self, sampler_calls, monkeypatch):
+        from repro.analysis.lint.rules import idempotence as rule
+        from repro.corpus import manifest_paths
+
+        proved = []
+        prove = rule.proves_idempotent
+
+        def counting(program):
+            proved.append(program)
+            return prove(program)
+
+        monkeypatch.setattr(rule, "proves_idempotent", counting)
+        for path in manifest_paths():
+            with open(path, encoding="utf8") as handle:
+                report = lint_source(handle.read(), name=path)
+            assert "REH011" not in rules_of(report)
+        assert len(proved) == 89  # every corpus resource went through REH011
+        assert sampler_calls == []
+
+    @given(st.integers(min_value=0, max_value=80_000))
+    @settings(max_examples=120, deadline=None)
+    def test_proof_holds_on_the_sampled_states(self, seed):
+        """Skipping a proved resource loses nothing: no state the rule
+        would have sampled shows ``e; e ≠ e``."""
+        from repro.analysis.lint.rules.idempotence import _MAX_STATES
+        from repro.testing.oracle import initial_state_family
+
+        e = _random_expr(random.Random(seed), depth=4)
+        if not proves_idempotent(e):
+            return
+        twice = seq(e, e)
+        for fs in initial_state_family([e], max_states=_MAX_STATES, seed=0):
+            assert eval_expr(twice, fs) == eval_expr(e, fs), (
+                f"e; e differs from e\ne={e}\nfs={fs!r}"
+            )
 
 
 class TestDemotion:
