@@ -156,8 +156,6 @@ class DeterminismStats:
     #: candidate order pair until the first diverging pair (plus the
     #: localization checks, counted separately in the race report).
     sat_queries: int = 0
-    #: Variables removed by CNF preprocessing before search.
-    vars_eliminated: int = 0
     #: CDCL conflicts/decisions summed over every check on the shared
     #: solver (including localization) — the ``--profile`` view.
     sat_conflicts: int = 0
@@ -565,7 +563,6 @@ def check_determinism(
         stats.solve_seconds = query.solve_seconds
         stats.sat_conflicts = query.conflicts
         stats.sat_decisions = query.decisions
-    stats.vars_eliminated = result.eliminated_vars if result else 0
     stats.total_seconds = time.perf_counter() - start
 
     if result is None or not result.sat:

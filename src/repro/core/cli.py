@@ -25,11 +25,10 @@ Two commands behind one ``rehearsal`` entry point (see setup.py
   cache (entries keyed under old tool versions are unreachable and
   only ever reclaimed here); kept for compatibility, ``rehearsal
   cache clear`` also sweeps the incremental store.
-* ``rehearsal solve <file.cnf>`` — run the SAT substrate (CNF
-  preprocessing + CDCL) on a DIMACS instance, the standard way to
-  debug the solving pipeline offline; ``--dump`` round-trips the
-  post-preprocessing solver state back to DIMACS.  Exit codes follow
-  the SAT-competition convention: 10 satisfiable, 20 unsatisfiable.
+* ``rehearsal solve <file.cnf>`` — run the CDCL solver on a DIMACS
+  instance and print the SAT-competition ``s``/``v`` lines, the
+  standard way to debug the solver offline.  Exit codes follow the
+  same convention: 10 satisfiable, 20 unsatisfiable.
 * ``rehearsal fuzz [--seed N --budget S --shrink --out DIR]`` —
   differential fuzzing: random catalogs through both the symbolic
   pipeline and the concrete interleavings oracle
@@ -680,36 +679,23 @@ def run_cache(argv) -> int:
 
 
 def run_solve(argv) -> int:
-    """Solve a DIMACS CNF file with the preprocessing + CDCL pipeline.
+    """Solve a DIMACS CNF file with the CDCL solver.
 
     Exit codes: 10 satisfiable, 20 unsatisfiable, 2 bad invocation —
     the SAT-competition convention, so the subcommand slots into
     standard solver harnesses.
     """
     from repro.sat.dimacs import read_dimacs
-    from repro.sat.preprocess import preprocess
     from repro.sat.solver import Solver
 
     parser = argparse.ArgumentParser(
         prog="rehearsal solve",
         description=(
             "Decide satisfiability of a DIMACS CNF file using "
-            "Rehearsal's SAT substrate (CNF preprocessing + CDCL)."
+            "Rehearsal's CDCL solver."
         ),
     )
     parser.add_argument("cnf", help="path to a DIMACS .cnf file")
-    parser.add_argument(
-        "--no-preprocess",
-        action="store_true",
-        help="feed the raw clauses to the CDCL solver unsimplified",
-    )
-    parser.add_argument(
-        "--dump",
-        metavar="PATH",
-        default=None,
-        help="write the (post-preprocessing) solver clause database "
-        "back out as DIMACS before solving",
-    )
     args = parser.parse_args(argv)
 
     from repro.errors import SolverError
@@ -721,83 +707,21 @@ def run_solve(argv) -> int:
         print(f"error: cannot read CNF {args.cnf}: {exc}", file=sys.stderr)
         return 2
 
-    pre = None
-    solver = Solver()
-    if args.no_preprocess:
-        for clause in clauses:
-            solver.add_clause(clause)
-        print(f"c {len(clauses)} clauses, {num_vars} vars (no preprocessing)")
-    else:
-        pre = preprocess(clauses, num_vars)
-        print(
-            f"c {len(clauses)} clauses, {num_vars} vars -> "
-            f"{len(pre.clauses)} clauses after preprocessing "
-            f"({pre.stats.units_fixed} units, "
-            f"{pre.stats.pure_literals} pure, "
-            f"{pre.stats.subsumed} subsumed, "
-            f"{pre.stats.strengthened} strengthened, "
-            f"{pre.stats.eliminated_vars} vars eliminated)"
-        )
-        if pre.unsat:
-            solver.add_clause([])  # reflect the verdict in any dump
-            if args.dump is not None:
-                try:
-                    _dump_solver(args.dump, solver)
-                except OSError as exc:
-                    print(
-                        f"error: cannot write --dump {args.dump}: {exc}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            print("s UNSATISFIABLE")
-            return 20
-        for clause in pre.clauses:
-            solver.add_clause(clause)
-        # Re-assert the forced units preprocessing consumed: without
-        # them a --dump would be merely equisatisfiable, and a model
-        # read off the dumped file could violate the original
-        # instance.  (Variables removed by pure-literal/variable
-        # elimination stay unconstrained in the dump — reconstructing
-        # their values needs the in-process model-reconstruction map.)
-        for var, value in pre.assigned.items():
-            solver.add_clause([var if value else -var])
-    solver.ensure_vars(num_vars)
-
-    if args.dump is not None:
-        try:
-            _dump_solver(args.dump, solver)
-        except OSError as exc:
-            print(
-                f"error: cannot write --dump {args.dump}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-
+    solver = Solver(num_vars)
+    for clause in clauses:
+        solver.add_clause(clause)
+    print(f"c {len(clauses)} clauses, {num_vars} vars")
     result = solver.solve()
     if not result.sat:
         print("s UNSATISFIABLE")
         return 20
-    model = dict(result.assignment)
-    if pre is not None:
-        model = pre.reconstruct(model)
     print("s SATISFIABLE")
     lits = [
-        (var if model.get(var, False) else -var)
+        (var if result.assignment.get(var, False) else -var)
         for var in range(1, num_vars + 1)
     ]
     print("v " + " ".join(str(lit) for lit in lits) + " 0")
     return 10
-
-
-def _dump_solver(path: str, solver) -> None:
-    from repro.sat.dimacs import write_solver
-
-    with open(path, "w", encoding="utf8") as handle:
-        write_solver(
-            handle,
-            solver,
-            comments=["dumped by 'rehearsal solve --dump'"],
-        )
 
 
 # -- rehearsal fuzz -----------------------------------------------------------

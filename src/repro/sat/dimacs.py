@@ -1,9 +1,9 @@
 """DIMACS CNF reading and writing.
 
 Not required by the verification pipeline itself, but standard solver
-plumbing: lets the SAT substrate be exercised against external
-instances and makes debugging encodings practical (dump a query, read
-it back, inspect)."""
+plumbing: ``rehearsal solve`` reads external instances with
+:func:`read_dimacs`, and the external-solver backend writes its
+queries with :func:`write_dimacs`."""
 
 from __future__ import annotations
 
@@ -66,31 +66,4 @@ def dimacs_to_string(
 
     buf = io.StringIO()
     write_dimacs(buf, clauses, num_vars)
-    return buf.getvalue()
-
-
-def write_solver(
-    out: TextIO,
-    solver,
-    include_learned: bool = False,
-    comments: Sequence[str] = (),
-) -> None:
-    """Dump a :class:`repro.sat.solver.Solver` instance's current
-    clause database — root-level units, problem clauses and optionally
-    learned clauses — as DIMACS, so any solver state (e.g. after
-    preprocessing, or mid-way through an incremental query sequence)
-    can be re-read with :func:`read_dimacs` for offline debugging."""
-    write_dimacs(
-        out,
-        solver.clause_database(include_learned=include_learned),
-        solver.num_vars,
-        comments=comments,
-    )
-
-
-def solver_to_string(solver, include_learned: bool = False) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_solver(buf, solver, include_learned=include_learned)
     return buf.getvalue()

@@ -399,9 +399,9 @@ class Solver:
         return 0
 
     def _rebuild_order(self) -> None:
-        # Vars in no clause (e.g. eliminated by preprocessing) are
-        # free: branching on them only pads the trail, so they get no
-        # entry.
+        # Vars in no clause (e.g. declared by a DIMACS header but never
+        # used) are free: branching on them only pads the trail, so
+        # they get no entry.
         assign = self._assign
         activity = self._activity
         occurs = self._occurs

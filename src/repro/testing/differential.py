@@ -2,8 +2,8 @@
 
 ``run_source`` pushes one manifest through the *real* production
 pipeline (:class:`repro.core.pipeline.Rehearsal` — memoized DAG
-exploration, preprocessed incremental SAT, unsat-core race
-localization) and through the concrete interleaving oracle
+exploration, incremental SAT, unsat-core race localization) and
+through the concrete interleaving oracle
 (:mod:`repro.testing.oracle`), then classifies every observable
 disagreement:
 

@@ -259,8 +259,8 @@ class TestIncrementalQuery:
         assert set(result.core) == {"kill-a", "kill-b", "kill-c"}
 
     def test_guarded_false_term_unsat_with_core(self):
-        # Regression: preprocessing derives the unit ¬s from s → false;
-        # the solver must still see it so the assumption conflicts.
+        # The guard s → false is the unit ¬s; the solver must see it so
+        # the assumption conflicts and lands in the core.
         bank = TermBank()
         query = IncrementalQuery(bank)
         query.assert_term(bank.or_(bank.var("x"), bank.var("y")))

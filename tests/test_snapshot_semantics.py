@@ -62,9 +62,20 @@ class TestFig3cUnderSnapshot:
         semantics: run 1 installs both (go pulls perl back in); run 2
         snapshots 'both installed', removes perl (cascading to go) and
         then *skips* the go install because the snapshot says it was
-        installed — the manifest oscillates."""
+        installed — the manifest oscillates.  The witness reproduces
+        the bug: from it, one run and two runs end in different
+        states."""
         result = snapshot_tool.check_idempotence(FIG_3C_ORDERED)
         assert not result.idempotent
+        from repro.digraph import topological_sort
+
+        graph, programs = snapshot_tool.compile(FIG_3C_ORDERED)
+        run = seq(*[programs[n] for n in topological_sort(graph)])
+        once = eval_expr(run, result.witness_fs)
+        twice = eval_expr(run, once)
+        assert once is not ERROR
+        assert twice is not ERROR
+        assert once != twice
 
     def test_ordered_fig3c_idempotent_under_direct(self, direct_tool):
         """Under execution-time checks the re-install happens in the
