@@ -720,7 +720,7 @@ def run_solve(argv) -> int:
         (var if result.assignment.get(var, False) else -var)
         for var in range(1, num_vars + 1)
     ]
-    print("v " + " ".join(str(lit) for lit in lits) + " 0")
+    print(" ".join(["v", *(str(lit) for lit in lits), "0"]))
     return 10
 
 

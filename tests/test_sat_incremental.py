@@ -291,3 +291,40 @@ class TestIncrementalQuery:
         result = query.check(assumptions=[s])
         assert result.sat
         assert result.named_model["x"] is True
+
+    def test_each_clause_reaches_the_solver_exactly_once(self):
+        handed = []
+
+        class RecordingSolver(Solver):
+            def add_clause(self, lits):
+                handed.append(tuple(lits))
+                super().add_clause(lits)
+
+        bank = TermBank()
+        x, y, z = bank.var("x"), bank.var("y"), bank.var("z")
+        query = IncrementalQuery(bank, backend=RecordingSolver)
+        query.assert_term(bank.or_(x, y))
+        assert query.check().sat
+        s = query.add_selector("no-x", bank.not_(x))
+        query.assert_term(bank.implies(y, z))
+        assert query.check(assumptions=[s]).sat
+        assert query.check().sat  # nothing new to hand over
+        assert handed == [tuple(clause) for clause in query.cnf.clauses]
+
+    def test_large_chain_decided_directly(self):
+        # x0 and x0 → x1 → … → xn: several thousand Tseitin clauses, all
+        # handed straight to the solver; the chain forces every xi.
+        bank = TermBank()
+        xs = [bank.var(f"x{i}") for i in range(2500)]
+        query = IncrementalQuery(bank)
+        query.assert_term(xs[0])
+        for a, b in zip(xs, xs[1:]):
+            query.assert_term(bank.implies(a, b))
+        result = query.check()
+        assert result.sat
+        assert result.num_clauses > 6000
+        assert all(result.named_model[f"x{i}"] for i in range(2500))
+        s = query.add_selector("last-false", bank.not_(xs[-1]))
+        result = query.check(assumptions=[s])
+        assert not result.sat
+        assert result.core == ["last-false"]

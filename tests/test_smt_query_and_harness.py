@@ -50,6 +50,34 @@ class TestQueryLayer:
         assert result.solve_seconds >= 0
 
 
+    def test_large_query_model_satisfies_formula(self):
+        # A few thousand clauses of Tseitin CNF go straight to the solver;
+        # the decoded model must satisfy the original term.
+        bank = TermBank()
+        xs = [bank.var(f"x{i}") for i in range(1500)]
+        formula = bank.and_(
+            xs[0],
+            *(bank.xor(a, b) for a, b in zip(xs, xs[1:])),
+        )
+        result = check_sat(bank, formula)
+        assert result.sat
+        assert result.num_clauses > 6000
+        assert bank.evaluate(formula, result.named_model)
+        assert result.named_model["x1499"] is False
+
+    def test_large_unsat_query(self):
+        bank = TermBank()
+        xs = [bank.var(f"x{i}") for i in range(1500)]
+        q = Query(bank)
+        q.assert_term(xs[0])
+        for a, b in zip(xs, xs[1:]):
+            q.assert_term(bank.xor(a, b))
+        q.assert_term(xs[-1])  # the xor chain makes x1499 false
+        result = q.check()
+        assert not result.sat
+        assert result.num_clauses > 6000
+
+
 class TestHarness:
     def test_timed_determinism_verdicts(self):
         from repro.bench.harness import timed_determinism
