@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Two commands behind one ``rehearsal`` entry point (see setup.py
+Subcommands behind one ``rehearsal`` entry point (see setup.py
 ``console_scripts``):
 
 * ``rehearsal verify <manifest.pp> [flags]`` — single-manifest
@@ -21,10 +21,6 @@ Two commands behind one ``rehearsal`` entry point (see setup.py
   manage both on-disk caches: the verdict cache and the incremental
   store (:mod:`repro.service.incremental`); ``gc --max-bytes N``
   evicts oldest-first until each fits the budget.
-* ``rehearsal cache-clear [--cache-dir DIR]`` — empty the verdict
-  cache (entries keyed under old tool versions are unreachable and
-  only ever reclaimed here); kept for compatibility, ``rehearsal
-  cache clear`` also sweeps the incremental store.
 * ``rehearsal solve <file.cnf>`` — run the CDCL solver on a DIMACS
   instance and print the SAT-competition ``s``/``v`` lines, the
   standard way to debug the solver offline.  Exit codes follow the
@@ -556,28 +552,6 @@ def run_serve(argv) -> int:
     return run_daemon(config)
 
 
-# -- rehearsal cache-clear ----------------------------------------------------
-
-
-def run_cache_clear(argv) -> int:
-    from repro.service import VerdictCache
-
-    parser = argparse.ArgumentParser(
-        prog="rehearsal cache-clear",
-        description="Delete every entry from the verdict cache.",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="verdict cache directory (default: $XDG_CACHE_HOME/rehearsal)",
-    )
-    args = parser.parse_args(argv)
-    cache = VerdictCache(args.cache_dir)
-    removed = cache.clear()
-    print(f"removed {removed} cached verdict(s) from {cache.directory}")
-    return 0
-
-
 # -- rehearsal cache ----------------------------------------------------------
 
 
@@ -631,8 +605,10 @@ def run_cache(argv) -> int:
         vstats = cache.stats()
         istats = store.stats()
         print(f"cache directory: {vstats['directory']}")
+        entries = vstats["entries"]
         print(
-            f"verdict cache: {vstats['entries']} entrie(s), "
+            f"verdict cache: {entries} "
+            f"{'entry' if entries == 1 else 'entries'}, "
             f"{vstats['bytes']} bytes"
         )
         if store.disabled:
@@ -1185,8 +1161,6 @@ def main(argv=None) -> int:
         return run_verify_batch(argv[1:])
     if argv and argv[0] == "serve":
         return run_serve(argv[1:])
-    if argv and argv[0] == "cache-clear":
-        return run_cache_clear(argv[1:])
     if argv and argv[0] == "cache":
         return run_cache(argv[1:])
     if argv and argv[0] == "solve":

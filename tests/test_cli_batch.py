@@ -214,11 +214,37 @@ class TestDispatch:
         manifests, cache_dir = fleet
         batch(manifests, "--cache-dir", cache_dir)
         capsys.readouterr()
-        assert cli_main(["cache-clear", "--cache-dir", str(cache_dir)]) == 0
+        assert cli_main(["cache", "--cache-dir", str(cache_dir), "clear"]) == 0
         assert "removed 2 cached verdict(s)" in capsys.readouterr().out
         code = batch(manifests, "--cache-dir", cache_dir)
         assert "cache 0 hit(s) / 2 miss(es)" in capsys.readouterr().out
         assert code == 0
+
+
+    @pytest.mark.parametrize(
+        "targets, expected",
+        [
+            ((), "verdict cache: 0 entries,"),
+            (("good.pp",), "verdict cache: 1 entry,"),
+            (("good.pp", "nondet.pp"), "verdict cache: 2 entries,"),
+        ],
+        ids=["empty", "one", "two"],
+    )
+    def test_cache_stats_counts_entries(self, fleet, capsys, targets, expected):
+        manifests, cache_dir = fleet
+        if targets:
+            batch(*(manifests / t for t in targets), "--cache-dir", cache_dir)
+        capsys.readouterr()
+        assert cli_main(["cache", "--cache-dir", str(cache_dir), "stats"]) == 0
+        assert expected in capsys.readouterr().out
+
+    def test_cache_clear_is_gone(self, fleet):
+        # ``cache-clear`` is no subcommand: it reads as a manifest path,
+        # and --cache-dir is no verify flag.
+        _, cache_dir = fleet
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["cache-clear", "--cache-dir", str(cache_dir)])
+        assert exc.value.code == 2
 
 
 class TestCorpusBatch:

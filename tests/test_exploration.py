@@ -10,6 +10,8 @@ and produce concretely-validating witnesses.
 """
 
 import random
+import sys
+from pathlib import Path as OsPath
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,6 @@ from hypothesis import strategies as st
 from repro.analysis.determinism import (
     DeterminismOptions,
     check_determinism,
-)
-from repro.bench.harness import (
-    conflicting_write,
-    fig13_lattice_bound,
-    synthetic_conflict_graph,
-    synthetic_deterministic_graph,
 )
 from repro.core.pipeline import Rehearsal
 from repro.corpus import load_source
@@ -48,6 +44,14 @@ from repro.resources import guarded_mkdir
 from repro.smt.encoder import apply_expr
 from repro.smt.state import initial_state
 from repro.smt.values import PathDomains
+
+sys.path.insert(0, str(OsPath(__file__).resolve().parents[1] / "benchmarks"))
+from harness import (  # noqa: E402
+    conflicting_write,
+    fig13_lattice_bound,
+    synthetic_conflict_graph,
+    synthetic_deterministic_graph,
+)
 
 #: The order-enumerating oracle: no memoization and no reductions, so
 #: the exploration is exactly the tree of all linearizations.

@@ -428,12 +428,26 @@ class TestCrossProcess:
 
 
 class TestEditLatency:
-    def test_one_resource_edit_matches_scratch_without_sat(self, tmp_path):
-        from repro.bench.harness import edit_latency_catalog
+    @staticmethod
+    def catalog(edited=False):
+        """Twelve files on disjoint paths, so every pair commutes;
+        ``edited`` changes one resource's content."""
+        blocks = []
+        for i in range(12):
+            content = f"setting{i} = {i}"
+            if edited and i == 6:
+                content += " # edited"
+            blocks.append(
+                f"file {{ '/etc/app/conf{i:03d}.cfg':\n"
+                f"  ensure  => file,\n"
+                f"  content => '{content}',\n"
+                f"}}"
+            )
+        return "\n\n".join(blocks) + "\n"
 
-        n = 12
-        base = edit_latency_catalog(n)
-        edited = edit_latency_catalog(n, edited=True)
+    def test_one_resource_edit_matches_scratch_without_sat(self, tmp_path):
+        base = self.catalog()
+        edited = self.catalog(edited=True)
         opts = incremental_options(tmp_path)
         cold = verify(base, opts)
         assert cold.ok

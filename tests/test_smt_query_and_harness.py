@@ -1,10 +1,15 @@
 """Tests for the SAT query layer, the benchmark harness functions, and
 the explanation renderer."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.logic import TermBank
 from repro.smt.query import Query, check_sat
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 
 class TestQueryLayer:
@@ -80,7 +85,7 @@ class TestQueryLayer:
 
 class TestHarness:
     def test_timed_determinism_verdicts(self):
-        from repro.bench.harness import timed_determinism
+        from harness import timed_determinism
 
         good = timed_determinism(
             "ntp-fixed", use_commutativity=True, use_pruning=True
@@ -93,7 +98,7 @@ class TestHarness:
         assert bad.deterministic is False
 
     def test_synthetic_conflict_graph(self):
-        from repro.bench.harness import synthetic_conflict_graph
+        from harness import synthetic_conflict_graph
 
         graph, programs = synthetic_conflict_graph(3)
         assert graph.number_of_nodes() == 3
@@ -101,14 +106,14 @@ class TestHarness:
         assert len(programs) == 3
 
     def test_fig13_rows_monotone_workload(self):
-        from repro.bench.harness import fig13_rows
+        from harness import fig13_rows
 
         rows = fig13_rows(ns=(2, 3), timeout=30)
         assert [n for n, _ in rows] == [2, 3]
-        assert all(t >= 0 for _, t in rows)
+        assert all(r.seconds >= 0 for _, r in rows)
 
     def test_render_rows(self):
-        from repro.bench.harness import TIMEOUT, render_rows
+        from harness import TIMEOUT, render_rows
 
         text = render_rows(
             "T", ["name", "time"], [("a", 0.5), ("b", TIMEOUT)]
@@ -117,7 +122,7 @@ class TestHarness:
         assert "0.500s" in text
 
     def test_fig11a_subset(self):
-        from repro.bench.harness import fig11a_rows
+        from harness import fig11a_rows
 
         rows = fig11a_rows()
         assert len(rows) == 13
