@@ -82,23 +82,24 @@ COUNTERS = (
 @dataclass
 class BenchResult:
     """One timed determinacy run.  On an exhausted budget ``seconds``
-    is :data:`TIMEOUT`, the counters are those reached so far, and
-    ``distinct_finals`` is -1."""
+    is :data:`TIMEOUT`, the exploration counters are those reached so
+    far, and the final and SAT counters are None: the budget error
+    does not carry them, so they are unknown, not 0."""
 
     name: str
     seconds: float
     deterministic: Optional[bool] = None
     branches_explored: int = 0
     memo_hits: int = 0
-    distinct_finals: int = 0
-    sat_queries: int = 0
-    sat_conflicts: int = 0
+    distinct_finals: Optional[int] = 0
+    sat_queries: Optional[int] = 0
+    sat_conflicts: Optional[int] = 0
 
     @property
     def timed_out(self) -> bool:
         return self.seconds == TIMEOUT
 
-    def counters(self) -> Dict[str, int]:
+    def counters(self) -> Dict[str, Optional[int]]:
         return {key: getattr(self, key) for key in COUNTERS}
 
 
@@ -120,7 +121,9 @@ def _timed(name, graph, programs, options: DeterminismOptions) -> BenchResult:
             TIMEOUT,
             branches_explored=exc.branches,
             memo_hits=exc.memo_hits,
-            distinct_finals=-1,
+            distinct_finals=None,
+            sat_queries=None,
+            sat_conflicts=None,
         )
     seconds = time.perf_counter() - start
     stats = result.stats
@@ -364,12 +367,16 @@ def render_rows(
     return f"{title}\n{body}"
 
 
+def _count(value: Optional[int]) -> str:
+    return "?" if value is None else str(value)
+
+
 def _cell(value: object) -> str:
     if isinstance(value, BenchResult):
         return (
             f"{fmt_seconds(value.seconds)} {value.branches_explored}b "
-            f"{value.memo_hits}m {value.distinct_finals}f "
-            f"{value.sat_queries}q {value.sat_conflicts}c"
+            f"{value.memo_hits}m {_count(value.distinct_finals)}f "
+            f"{_count(value.sat_queries)}q {_count(value.sat_conflicts)}c"
         )
     if isinstance(value, float):
         return fmt_seconds(value)

@@ -37,7 +37,8 @@ SMOKE_NAMES = ("ntp-nondet", "ntp-fixed")
 #: Printed under the first title with timed determinacy cells.
 CELL_LEGEND = (
     "timed cells: seconds, then b branches explored, m memo hits, "
-    "f distinct finals, q SAT queries, c SAT conflicts"
+    "f distinct finals, q SAT queries, c SAT conflicts "
+    "(? where a timed-out run cannot know)"
 )
 
 

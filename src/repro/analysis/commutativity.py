@@ -270,9 +270,9 @@ def conflict_matrix(
     in the graph writes it; conflicts on settled paths are dropped.
     (Every conflict is reported on the path whose access causes it,
     so this equals dropping the accesses first.)  This is sound
-    because the Fig. 9a reduction, the lint prefilter and lint's race
-    confirmation only ever swap two *adjacent* unordered resources,
-    and in a linearization every ancestor of both has run by then.
+    because the Fig. 9a reduction and lint's race confirmation only
+    ever swap two *adjacent* unordered resources, and in a
+    linearization every ancestor of both has run by then.
     So ``p`` is a directory at the swap (or the state has already
     errored, and both orders error), and it stays one: only a write
     changes it.  Each resource's access to ``p`` then reads the same

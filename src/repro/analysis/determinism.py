@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -90,18 +90,8 @@ class DeterminismOptions:
     #: exploration degenerates to the order tree — the naive
     #: order-enumerating oracle the property tests compare against.
     use_memoization: bool = True
-    well_formed_initial: bool = True
-    #: The lint fast path: before building any symbolic state, check
-    #: whether every *unordered* pair of resources commutes (Lemma 4,
-    #: the same footprint matrix the lint race rule uses).  If so the
-    #: graph is deterministic — any two linearizations are related by
-    #: adjacent transpositions of unordered pairs — and the check
-    #: returns with zero SAT queries.  Sound (Lemma 4 is a sufficient
-    #: condition); on fall-through the full analysis runs unchanged.
-    lint_prefilter: bool = False
     max_branches: int = 5000
     timeout_seconds: Optional[float] = None
-    max_conflicts: Optional[int] = None
     #: SAT backend spec consumed by
     #: :func:`repro.sat.backend.parse_backend_spec`: ``"cdcl"`` (the
     #: pure-Python reference) or ``"external:auto|<name-or-path>"``
@@ -119,6 +109,16 @@ class DeterminismOptions:
     #: Directory holding ``incremental.sqlite`` (default: the
     #: :func:`repro.service.cachedir.default_cache_dir`).
     incremental_dir: Optional[str] = None
+
+
+def verdict_options(options: DeterminismOptions) -> Dict[str, object]:
+    """The options a verdict depends on, as a plain dict: every field
+    but ``incremental`` and ``incremental_dir``.  The store is a cache
+    of intermediate results, not an input, so incremental and
+    from-scratch runs share verdict-cache and store keys."""
+    d = asdict(options)
+    del d["incremental"], d["incremental_dir"]
+    return d
 
 
 @dataclass
@@ -165,9 +165,9 @@ class DeterminismStats:
     solve_seconds: float = 0.0
     total_seconds: float = 0.0
     elimination_fallback: bool = False
-    #: True when the lint prefilter proved determinism footprint-only
-    #: (every unordered pair commutes): no symbolic exploration, no
-    #: encoding, zero SAT queries.
+    #: Always False: the lint prefilter that set it is gone, and
+    #: elimination and exploration prove the graphs it proved.  Kept so
+    #: rows and their readers keep the field, like ``cnf_cache_hits``.
     prefilter_proved: bool = False
     #: Incremental-store reuse (0 unless ``options.incremental``):
     #: whole results served — a recorded determinism result for the
@@ -393,19 +393,6 @@ def check_determinism(
         else None
     )
 
-    # The lint fast path runs before any other pass: footprints of the
-    # original programs are exactly what `rehearsal lint` computes, so
-    # a manifest lint proves pairwise-disjoint skips elimination,
-    # pruning, symbolic exploration, and SAT entirely.
-    if options.lint_prefilter and graph.number_of_nodes() > 1:
-        prints = {n: footprint(programs[n]) for n in graph.nodes}
-        if _unordered_pairs_commute(graph, conflict_matrix(graph, prints)):
-            stats.prefilter_proved = True
-            stats.resources_after_elimination = stats.resources_total
-            stats.distinct_finals = 1
-            stats.total_seconds = time.perf_counter() - start
-            return DeterminismResult(True, stats)
-
     work_graph = graph
     work_programs = dict(programs)
 
@@ -530,16 +517,10 @@ def check_determinism(
             continue  # symbolically identical final states
         if query is None:
             query = IncrementalQuery(bank, backend=backend)
-            query.assert_term(
-                initial_constraints(
-                    bank, domains, well_formed=options.well_formed_initial
-                )
-            )
+            query.assert_term(initial_constraints(bank, domains))
         selector = query.add_selector(f"pair${i}", differ)
         stats.encode_seconds += time.perf_counter() - encode_start
-        result = query.check(
-            assumptions=[selector], max_conflicts=options.max_conflicts
-        )
+        result = query.check(assumptions=[selector])
         stats.sat_queries += 1
         if result.sat:
             sat_index = i
@@ -603,7 +584,6 @@ def check_determinism(
         {n: programs[n] for n in graph.nodes},
         query,
         sat_selector,
-        max_conflicts=options.max_conflicts,
         deadline=deadline,
         descendants=explorer.descendants,
         witness=witness,
@@ -627,23 +607,6 @@ def check_determinism(
     if inc is not None:
         inc.record_root(nondet)
     return nondet
-
-
-def _unordered_pairs_commute(graph: DiGraph, matrix) -> bool:
-    """True when every pair of resources with no ordering constraint
-    between them commutes.  Any two topological linearizations are
-    related by adjacent transpositions of unordered pairs, so this
-    implies a unique outcome for every initial state (ordered pairs
-    never swap and need no check)."""
-    nodes = list(graph.nodes)
-    reach = {n: descendants(graph, n) for n in nodes}
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            if b in reach[a] or a in reach[b]:
-                continue
-            if matrix[a][b]:
-                return False
-    return True
 
 
 def _diverging_orders(

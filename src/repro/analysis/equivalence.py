@@ -37,7 +37,6 @@ def check_equivalence(
     e1: fx.Expr,
     e2: fx.Expr,
     well_formed_initial: bool = True,
-    max_conflicts: Optional[int] = None,
 ) -> EquivalenceResult:
     """Decide ``∀σ. ⟦e1⟧σ = ⟦e2⟧σ``; a witness σ is decoded when not."""
     start = time.perf_counter()
@@ -52,7 +51,7 @@ def check_equivalence(
     )
     query = Query(bank)
     query.assert_term(goal)
-    result = query.check(max_conflicts=max_conflicts)
+    result = query.check()
     elapsed = time.perf_counter() - start
     if not result.sat:
         return EquivalenceResult(

@@ -94,7 +94,6 @@ def localize_race(
     programs: Dict[NodeId, fx.Expr],
     query: IncrementalQuery,
     pair_selector: int,
-    max_conflicts: Optional[int] = None,
     deadline: Optional[float] = None,
     descendants: Optional[Mapping[NodeId, frozenset]] = None,
     witness: Optional[FileSystem] = None,
@@ -105,13 +104,13 @@ def localize_race(
     ``query`` is the determinacy check's shared incremental solver and
     ``pair_selector`` the selector of the diverging pair's difference
     term, so localization rides on everything already encoded and
-    learned.  Localization respects the analysis budget: each check is
-    bounded by ``max_conflicts``, and once ``deadline`` (a
-    ``time.perf_counter()`` instant) passes, core minimization stops
-    with the best core found so far.  Returns None when localization
-    cannot name a pair (e.g. single-resource divergence after
-    elimination) or when the budget is exhausted before the first
-    unsat core exists.
+    learned.  Localization respects the analysis budget: once
+    ``deadline`` (a ``time.perf_counter()`` instant) passes, core
+    minimization stops with the best core found so far.  Returns None
+    when localization cannot name a pair (e.g. single-resource
+    divergence after elimination) or when the backend gives up before
+    the first unsat core exists (an external solver's wall-clock
+    timeout raises :class:`SolverError`).
 
     ``descendants`` — optional node → descendant-set mapping of
     ``graph`` (the explorer precomputes it); when provided, the
@@ -144,12 +143,10 @@ def localize_race(
         assumptions.append(s)
 
     try:
-        result = query.check(
-            assumptions=assumptions, max_conflicts=max_conflicts
-        )
+        result = query.check(assumptions=assumptions)
     except SolverError:
-        return None  # conflict budget exhausted: localization is
-        # best-effort diagnostics, never a crash
+        return None  # the backend gave up (an external solver's
+        # timeout): localization is best-effort diagnostics, never a crash
     if result.sat:
         # The equalities are jointly consistent with the difference —
         # only possible if the "difference" was over paths outside the
@@ -159,7 +156,6 @@ def localize_race(
         query,
         result.core_lits,
         keep=pair_selector,
-        max_conflicts=max_conflicts,
         deadline=deadline,
     )
 
@@ -198,7 +194,6 @@ def _minimize_core(
     query: IncrementalQuery,
     core: List[int],
     keep: int,
-    max_conflicts: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> List[int]:
     """Shrink an unsat core on the shared solver.
@@ -208,8 +203,9 @@ def _minimize_core(
     then, for small cores, try dropping each member except ``keep``
     (deletion-based minimization).  Every check reuses the solver's
     learned clauses, so each pass is nearly free.  A passed
-    ``deadline`` or an exhausted conflict budget ends minimization
-    early with the best (still valid) core found so far.
+    ``deadline`` or a backend that gives up (:class:`SolverError`)
+    ends minimization early with the best (still valid) core found so
+    far.
     """
 
     def out_of_budget() -> bool:
@@ -221,9 +217,7 @@ def _minimize_core(
         while True:
             if out_of_budget():
                 return core
-            result = query.check(
-                assumptions=core, max_conflicts=max_conflicts
-            )
+            result = query.check(assumptions=core)
             if result.sat or not result.core_lits:
                 return core  # defensive: keep the last known core
             new_core = result.core_lits
@@ -243,9 +237,7 @@ def _minimize_core(
             if out_of_budget():
                 return core
             candidate = core[:i] + core[i + 1 :]
-            result = query.check(
-                assumptions=candidate, max_conflicts=max_conflicts
-            )
+            result = query.check(assumptions=candidate)
             if result.sat:
                 i += 1  # member is essential
             else:
@@ -254,7 +246,7 @@ def _minimize_core(
                     core = [keep] + core
                 i = 0  # core may have been reordered; rescan
     except SolverError:
-        pass  # conflict budget exhausted mid-minimization
+        pass  # the backend gave up mid-minimization
     return core
 
 

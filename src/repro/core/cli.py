@@ -6,7 +6,10 @@ Subcommands behind one ``rehearsal`` entry point (see setup.py
 * ``rehearsal verify <manifest.pp> [flags]`` — single-manifest
   verification, mirroring the artifact's CLI (§8: "Rehearsal takes the
   platform name as a command-line flag").  For compatibility the
-  subcommand word is optional: ``rehearsal <manifest.pp>`` still works.
+  subcommand word is optional: ``rehearsal <manifest.pp>`` still works
+  when the first word ends in ``.pp``, contains a path separator, or
+  names an existing file; any other unknown first word exits 2 with
+  ``error: unknown command``.
 * ``rehearsal verify-batch <dir-or-manifests...> [flags]`` — the batch
   service: fan a fleet of manifests out to worker processes behind the
   content-addressed verdict cache (:mod:`repro.service`).
@@ -111,13 +114,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
         help="analysis timeout in seconds (per manifest)",
     )
     parser.add_argument(
-        "--lint-prefilter",
-        action="store_true",
-        help="prove determinism footprint-only when every unordered "
-        "resource pair commutes (the lint fast path), skipping "
-        "symbolic exploration and SAT entirely for such manifests",
-    )
-    parser.add_argument(
         "--solver",
         default="cdcl",
         metavar="SPEC",
@@ -165,7 +161,6 @@ def _options_from_args(args: argparse.Namespace) -> DeterminismOptions:
         use_commutativity=not args.no_commutativity,
         use_elimination=not args.no_elimination,
         timeout_seconds=args.timeout,
-        lint_prefilter=args.lint_prefilter,
         solver=args.solver,
         **extra,
     )
@@ -1155,22 +1150,43 @@ def run_lint(argv) -> int:
 # -- dispatch -----------------------------------------------------------------
 
 
+#: Every subcommand word and what runs it.
+COMMANDS = {
+    "verify": run_verify,
+    "verify-batch": run_verify_batch,
+    "serve": run_serve,
+    "cache": run_cache,
+    "solve": run_solve,
+    "fuzz": run_fuzz,
+    "lint": run_lint,
+}
+
+
+def _names_a_manifest(word: str) -> bool:
+    """Whether a first word that is no subcommand is read as the
+    manifest of an implicit ``verify``: a ``.pp`` name, a path, or an
+    existing file.  Any other word is a mistyped or retired command."""
+    return (
+        word.endswith(".pp")
+        or os.sep in word
+        or (os.altsep is not None and os.altsep in word)
+        or os.path.isfile(word)
+    )
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "verify-batch":
-        return run_verify_batch(argv[1:])
-    if argv and argv[0] == "serve":
-        return run_serve(argv[1:])
-    if argv and argv[0] == "cache":
-        return run_cache(argv[1:])
-    if argv and argv[0] == "solve":
-        return run_solve(argv[1:])
-    if argv and argv[0] == "fuzz":
-        return run_fuzz(argv[1:])
-    if argv and argv[0] == "lint":
-        return run_lint(argv[1:])
-    if argv and argv[0] == "verify":
-        argv = argv[1:]
+    first = argv[0] if argv else ""
+    if first in COMMANDS:
+        return COMMANDS[first](argv[1:])
+    if first and not first.startswith("-") and not _names_a_manifest(first):
+        print(
+            f"error: unknown command {first!r}\n"
+            f"commands: {', '.join(COMMANDS)}, "
+            f"or a manifest path to verify",
+            file=sys.stderr,
+        )
+        return 2
     return run_verify(argv)
 
 

@@ -208,11 +208,7 @@ class Rehearsal:
         """Idempotence assumes determinism has been established
         (§5: these checks are unsound on non-deterministic manifests)."""
         graph, programs = self.compile(source)
-        return check_idempotence(
-            graph,
-            programs,
-            well_formed_initial=self.options.well_formed_initial,
-        )
+        return check_idempotence(graph, programs)
 
     def check_invariant(
         self, source: str, prop: FinalStateProperty, extra_paths=()
@@ -222,12 +218,7 @@ class Rehearsal:
         graph, programs = self.compile(source)
         order = topological_sort(graph)
         e = seq(*[programs[n] for n in order])
-        return check_invariant(
-            e,
-            prop,
-            well_formed_initial=self.options.well_formed_initial,
-            extra_paths=tuple(extra_paths),
-        )
+        return check_invariant(e, prop, extra_paths=tuple(extra_paths))
 
     # -- the full verification --------------------------------------------------
 
@@ -298,11 +289,7 @@ class Rehearsal:
                         store=store,
                     )
                 else:
-                    idem = check_idempotence(
-                        graph,
-                        programs,
-                        well_formed_initial=self.options.well_formed_initial,
-                    )
+                    idem = check_idempotence(graph, programs)
                 report.idempotence = idem
                 report.idempotent = idem.idempotent
         except ReproError as exc:

@@ -73,11 +73,6 @@ def render_determinism(
     lines: List[str] = []
     if result.deterministic:
         lines.append("DETERMINISTIC: all orders produce the same outcome.")
-        if result.stats.prefilter_proved:
-            lines.append(
-                "(proved by the lint prefilter: every unordered pair "
-                "commutes; no symbolic exploration or SAT)"
-            )
     else:
         lines.append("NON-DETERMINISTIC: resource orders diverge.")
         if result.race is not None:

@@ -24,7 +24,7 @@ verdict-cache key, and storable in :class:`DeterminismOptions`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
 try:  # Protocol is 3.8+; keep a runtime-checkable structural type.
     from typing import Protocol, runtime_checkable
@@ -49,8 +49,8 @@ class SolverBackend(Protocol):
 
     * the clause database persists across :meth:`solve` calls;
     * ``assumptions`` are per-call temporary units;
-    * an exhausted ``max_conflicts`` budget raises
-      :class:`repro.errors.SolverError` with the backend left reusable;
+    * a backend that gives up (an external solver's wall-clock
+      timeout) raises :class:`repro.errors.SolverError`;
     * on UNSAT under assumptions, ``SolveResult.core`` holds the
       implicated assumption literals.
     """
@@ -61,11 +61,7 @@ class SolverBackend(Protocol):
 
     def add_clause(self, lits: Sequence[int]) -> None: ...
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        max_conflicts: Optional[int] = None,
-    ) -> SolveResult: ...
+    def solve(self, assumptions: Sequence[int] = ()) -> SolveResult: ...
 
     def root_units(self) -> List[int]: ...
 

@@ -23,11 +23,10 @@ here rather than leaked to callers:
   external backend is an escape hatch for instances where one external
   run beats thousands of Python conflicts.
 
-* **Conflict budgets.**  There is no portable way to impose a conflict
-  limit on an arbitrary binary, so ``max_conflicts`` is *advisory and
-  ignored*; :data:`TIMEOUT_SECONDS` bounds each run by wall clock
-  instead, raising ``SolverError`` on expiry (the analysis layers
-  already treat that exactly like a budget exhaustion).
+* **Budgets.**  There is no portable way to impose a conflict limit
+  on an arbitrary binary, so :data:`TIMEOUT_SECONDS` bounds each run
+  by wall clock, raising ``SolverError`` on expiry (race localization
+  then returns the best core it has, or no race).
 
 ``minisat`` is special-cased: it takes ``input output`` file arguments
 and writes the verdict/model to the output file (still exiting 10/20).
@@ -48,8 +47,8 @@ from repro.sat.solver import SolveResult
 #: Probe order for ``--solver external:auto``.
 KNOWN_SOLVERS = ("kissat", "cadical", "minisat")
 
-#: Wall-clock bound per external run (``max_conflicts`` has no portable
-#: equivalent across binaries).
+#: Wall-clock bound per external run (a conflict budget has no
+#: portable equivalent across binaries).
 TIMEOUT_SECONDS = 60.0
 
 
@@ -170,11 +169,7 @@ class ExternalBackend:
 
     # -- solving --------------------------------------------------------------
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        max_conflicts: Optional[int] = None,  # advisory; see module doc
-    ) -> SolveResult:
+    def solve(self, assumptions: Sequence[int] = ()) -> SolveResult:
         assumptions = list(assumptions)
         for lit in assumptions:
             if lit == 0:

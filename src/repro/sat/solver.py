@@ -414,11 +414,7 @@ class Solver:
 
     # -- main loop ---------------------------------------------------------------
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        max_conflicts: Optional[int] = None,
-    ) -> SolveResult:
+    def solve(self, assumptions: Sequence[int] = ()) -> SolveResult:
         """Decide satisfiability under temporary ``assumptions``.
 
         The clause database (problem clauses, learned clauses,
@@ -448,14 +444,6 @@ class Solver:
         luby_index = 1
         conflicts_until_restart = RESTART_UNIT * _luby(luby_index)
         max_learned = max(1000, len(self._clauses) // 2)
-        # The budget is per call: self.conflicts accumulates over the
-        # solver's lifetime, so a reused instance must not charge this
-        # query for conflicts earlier queries spent.
-        conflict_limit = (
-            self.conflicts + max_conflicts
-            if max_conflicts is not None
-            else None
-        )
 
         while True:
             conflict = self._propagate()
@@ -483,12 +471,6 @@ class Solver:
                     self._watch(learned)
                     self._enqueue(learned[0], learned)
                 self._decay()
-                if conflict_limit is not None and self.conflicts >= conflict_limit:
-                    # Leave the solver reusable: every exit path —
-                    # including this abnormal one — returns at level 0
-                    # so clauses can still be added afterwards.
-                    self._backtrack(0)
-                    raise SolverError("conflict budget exhausted")
                 if len(self._learned) > max_learned:
                     self._reduce_learned()
                     max_learned = int(max_learned * 1.3)

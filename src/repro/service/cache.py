@@ -16,7 +16,6 @@ change a verdict.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -24,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro import __version__
-from repro.analysis.determinism import DeterminismOptions
+from repro.analysis.determinism import DeterminismOptions, verdict_options
 from repro.service.cachedir import default_cache_dir
 from repro.service.schema import SCHEMA_VERSION, ManifestResult
 
@@ -38,12 +37,11 @@ def cache_key(
     node_name: str = "default",
     version: str = __version__,
     synthesize_packages: bool = True,
-    package_semantics: str = "direct",
 ) -> str:
     """SHA-256 over everything the verdict depends on.
 
     Any change to the manifest text, the analysis options, the target
-    platform, the node selection, the package-modeling knobs, the
+    platform, the node selection, the package-modeling knob, the
     result-row schema version, or the tool version produces a new key,
     so stale verdicts can never be served — they are simply never
     found.  Keying on :data:`repro.service.schema.SCHEMA_VERSION`
@@ -51,23 +49,15 @@ def cache_key(
     v2 exploration statistics) instead of deserializing them
     incompletely.
     """
-    options = options or DeterminismOptions()
-    options_dict = dataclasses.asdict(options)
-    # The incremental store is a cache of intermediate results, not an
-    # input to the verdict: incremental and from-scratch runs promise
-    # byte-identical results, so they must share verdict-cache entries.
-    options_dict.pop("incremental", None)
-    options_dict.pop("incremental_dir", None)
     material = json.dumps(
         {
             "source": source,
-            "options": options_dict,
+            "options": verdict_options(options or DeterminismOptions()),
             "platform": platform,
             "node": node_name,
             "version": version,
             "schema": SCHEMA_VERSION,
             "synthesize_packages": synthesize_packages,
-            "package_semantics": package_semantics,
         },
         sort_keys=True,
     )

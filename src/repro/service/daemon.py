@@ -71,6 +71,9 @@ MAX_HEADER_BYTES = 64 * 1024
 MAX_EVENT_BUFFER = 1000
 MAX_LONGPOLL_SECONDS = 60.0
 
+#: How long shutdown waits for in-flight requests before cancelling.
+DRAIN_SECONDS = 30.0
+
 #: Histogram buckets for the verify-latency histogram (seconds).  The
 #: low end is sized to the warm re-verify path (~ms against a hot
 #: store), the high end to cold full-corpus manifests.
@@ -121,12 +124,9 @@ class DaemonConfig:
     platform: str = "ubuntu"
     node_name: str = "default"
     synthesize_packages: bool = True
-    package_semantics: str = "direct"
     #: Watcher stat-poll cadence and write-coalescing quiet period.
     poll_interval: float = 0.5
     debounce: float = 0.25
-    #: How long shutdown waits for in-flight requests before cancelling.
-    drain_seconds: float = 30.0
 
 
 class TokenBucket:
@@ -232,7 +232,6 @@ class RehearsalDaemon:
             platform=self.config.platform,
             node_name=self.config.node_name,
             synthesize_packages=self.config.synthesize_packages,
-            package_semantics=self.config.package_semantics,
             workers=1,  # serial in-process; concurrency is the thread pool
             cache=self.cache,
         )
@@ -340,9 +339,7 @@ class RehearsalDaemon:
         # contract.  Only a drain-timeout cancels.
         pending = [t for t in self._handlers if not t.done()]
         if pending:
-            done, still = await asyncio.wait(
-                pending, timeout=self.config.drain_seconds
-            )
+            done, still = await asyncio.wait(pending, timeout=DRAIN_SECONDS)
             for task in still:
                 task.cancel()
             if still:

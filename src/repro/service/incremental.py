@@ -34,6 +34,7 @@ from pathlib import Path as OsPath
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro import __version__
+from repro.analysis.determinism import verdict_options
 from repro.analysis.idempotence import IdempotenceResult, check_idempotence
 from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem, eval_expr, seq
@@ -407,17 +408,14 @@ def check_idempotence_incremental(
     :class:`~repro.analysis.determinism.DeterminismStats`) when given.
     """
     start = time.perf_counter()
-    wf = bool(options.well_formed_initial)
     if store is None or store.disabled:
         store = open_store(getattr(options, "incremental_dir", None))
     order: List[NodeId] = topological_sort(graph)
     if store is None:
-        return check_idempotence(graph, programs, well_formed_initial=wf)
+        return check_idempotence(graph, programs)
 
     digests = {n: expr_digest(programs[n]) for n in order}
-    full_key = _blake(
-        f"idem_full:wf={int(wf)}:" + ":".join(digests[n] for n in order)
-    )
+    full_key = _blake("idem_full:" + ":".join(digests[n] for n in order))
     entry = store.get_json("idem_full", full_key)
     if entry is not None and isinstance(entry.get("idempotent"), bool):
         if stats is not None:
@@ -428,7 +426,7 @@ def check_idempotence_incremental(
             total_seconds=time.perf_counter() - start,
         )
 
-    result = check_idempotence(graph, programs, well_formed_initial=wf)
+    result = check_idempotence(graph, programs)
     store.put_json(
         "idem_full",
         full_key,
@@ -445,16 +443,16 @@ def check_idempotence_incremental(
 
 
 def _det_options_digest(options) -> str:
-    """Digest of every option that can change the determinism result.
-    Only ``incremental``/``incremental_dir`` are excluded (cache
-    plumbing, not inputs — the verdict contract).  ``timeout_seconds``
-    stays in: a run whose budget would have expired must keep raising
-    its timeout error row-for-row with a from-scratch run, not get
-    rescued by a verdict recorded under a more generous budget."""
-    d = dataclasses.asdict(options)
-    d.pop("incremental", None)
-    d.pop("incremental_dir", None)
-    return _blake("opts:" + json.dumps(d, sort_keys=True, default=repr))
+    """Digest of every option that can change the determinism result
+    (:func:`~repro.analysis.determinism.verdict_options`).
+    ``timeout_seconds`` stays in: a run whose budget would have expired
+    must keep raising its timeout error row-for-row with a from-scratch
+    run, not get rescued by a verdict recorded under a more generous
+    budget."""
+    return _blake(
+        "opts:"
+        + json.dumps(verdict_options(options), sort_keys=True, default=repr)
+    )
 
 
 class DetIncremental:

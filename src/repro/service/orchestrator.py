@@ -77,7 +77,6 @@ class _Job:
     platform: str
     node_name: str
     synthesize_packages: bool
-    package_semantics: str
 
 
 def _verify_one(job: _Job) -> dict:
@@ -97,7 +96,6 @@ def _verify_one(job: _Job) -> dict:
         context = ModelContext(
             package_db=PackageDatabase(synthesize=job.synthesize_packages),
             platform=job.platform,
-            package_semantics=job.package_semantics,
         )
         tool = Rehearsal(
             context=context, options=job.options, node_name=job.node_name
@@ -108,7 +106,7 @@ def _verify_one(job: _Job) -> dict:
         start = time.perf_counter()
         try:
             front = tool.frontend(job.source)
-            compiled = tool.with_prelude(front)
+            compiled = front.graph, front.programs
         except ReproError:
             front = compiled = None
         report = tool.verify(job.source, name=job.name, compiled=compiled)
@@ -171,7 +169,6 @@ class BatchVerifier:
         platform: str = "ubuntu",
         node_name: str = "default",
         synthesize_packages: bool = True,
-        package_semantics: str = "direct",
         workers: int = 1,
         cache: Optional[VerdictCache] = None,
     ):
@@ -181,7 +178,6 @@ class BatchVerifier:
         self.platform = platform
         self.node_name = node_name
         self.synthesize_packages = synthesize_packages
-        self.package_semantics = package_semantics
         self.workers = workers
         self.cache = cache
 
@@ -281,13 +277,11 @@ class BatchVerifier:
                 platform=self.platform,
                 node_name=self.node_name,
                 synthesize_packages=self.synthesize_packages,
-                package_semantics=self.package_semantics,
             ),
             options=self.options,
             platform=self.platform,
             node_name=self.node_name,
             synthesize_packages=self.synthesize_packages,
-            package_semantics=self.package_semantics,
         )
 
     def _cache_counters(self) -> Dict[str, int]:
@@ -442,7 +436,6 @@ def verify_batch(
     cache_dir: Optional[PathLike] = None,
     use_cache: bool = True,
     synthesize_packages: bool = True,
-    package_semantics: str = "direct",
 ) -> BatchReport:
     """One-call batch verification.
 
@@ -455,7 +448,6 @@ def verify_batch(
         platform=platform,
         node_name=node_name,
         synthesize_packages=synthesize_packages,
-        package_semantics=package_semantics,
         workers=workers,
         cache=cache,
     )

@@ -67,7 +67,7 @@ class Query:
     def assert_term(self, term: Term) -> None:
         self._assertions.append(term)
 
-    def check(self, max_conflicts: Optional[int] = None) -> QueryResult:
+    def check(self) -> QueryResult:
         formula = self.bank.and_(*self._assertions)
         if formula is self.bank.TRUE:
             return QueryResult(sat=True)
@@ -81,7 +81,7 @@ class Query:
         solver = self.backend() if self.backend is not None else Solver()
         for clause in cnf.clauses:
             solver.add_clause(clause)
-        result = solver.solve(max_conflicts=max_conflicts)
+        result = solver.solve()
         elapsed = time.perf_counter() - start
         return QueryResult(
             sat=result.sat,
@@ -151,11 +151,7 @@ class IncrementalQuery:
 
     # -- solving ------------------------------------------------------------
 
-    def check(
-        self,
-        assumptions: Sequence[int] = (),
-        max_conflicts: Optional[int] = None,
-    ) -> QueryResult:
+    def check(self, assumptions: Sequence[int] = ()) -> QueryResult:
         """Decide satisfiability of the asserted terms plus the guarded
         terms whose selectors appear in ``assumptions``."""
         start = time.perf_counter()
@@ -163,9 +159,7 @@ class IncrementalQuery:
         while self._flushed < len(self.cnf.clauses):
             self._solver.add_clause(self.cnf.clauses[self._flushed])
             self._flushed += 1
-        result = self._solver.solve(
-            assumptions=assumptions, max_conflicts=max_conflicts
-        )
+        result = self._solver.solve(assumptions=assumptions)
         elapsed = time.perf_counter() - start
         self.checks += 1
         self.solve_seconds += elapsed
@@ -196,10 +190,8 @@ class IncrementalQuery:
         )
 
 
-def check_sat(
-    bank: TermBank, term: Term, max_conflicts: Optional[int] = None
-) -> QueryResult:
+def check_sat(bank: TermBank, term: Term) -> QueryResult:
     """One-shot satisfiability check of a single term."""
     query = Query(bank)
     query.assert_term(term)
-    return query.check(max_conflicts=max_conflicts)
+    return query.check()

@@ -94,6 +94,76 @@ def test_retired_solver_knobs_are_gone():
     assert not fields & {"portfolio", "solver_workers"}
 
 
+def test_retired_settings_are_gone():
+    """The settings no caller set (the lint prefilter, the conflict
+    budget, ``well_formed_initial``, batch/daemon package semantics and
+    the daemon drain time) were removed; none may come back as a field
+    or a parameter."""
+    import dataclasses
+    import inspect
+
+    from repro.analysis.determinism import DeterminismOptions
+    from repro.analysis.equivalence import check_equivalence
+    from repro.analysis.localize import _minimize_core, localize_race
+    from repro.sat.backend import SolverBackend
+    from repro.sat.external import ExternalBackend
+    from repro.sat.solver import Solver
+    from repro.service.cache import cache_key
+    from repro.service.daemon import DaemonConfig
+    from repro.service.orchestrator import BatchVerifier, verify_batch
+    from repro.smt.query import IncrementalQuery, Query, check_sat
+
+    options = {f.name for f in dataclasses.fields(DeterminismOptions)}
+    retired = {"lint_prefilter", "max_conflicts", "well_formed_initial"}
+    assert not options & retired
+    assert len(options) == 10
+    config = {f.name for f in dataclasses.fields(DaemonConfig)}
+    assert not config & {"package_semantics", "drain_seconds"}
+    assert len(config) == 15
+    for fn in (BatchVerifier, verify_batch, cache_key):
+        assert "package_semantics" not in inspect.signature(fn).parameters
+    for fn in (
+        localize_race,
+        _minimize_core,
+        check_equivalence,
+        check_sat,
+        Query.check,
+        IncrementalQuery.check,
+        SolverBackend.solve,
+        ExternalBackend.solve,
+        Solver.solve,
+    ):
+        assert "max_conflicts" not in inspect.signature(fn).parameters, fn
+
+
+@pytest.mark.parametrize("command", ["verify", "verify-batch", "serve"])
+def test_lint_prefilter_flag_is_rejected(command, tmp_path, capsys):
+    from repro.core.cli import main as cli_main
+
+    manifest = tmp_path / "m.pp"
+    manifest.write_text("file { '/a': content => 'x' }\n")
+    target = [] if command == "serve" else [str(manifest)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *target, "--lint-prefilter"])
+    assert exc.value.code == 2
+    assert "--lint-prefilter" in capsys.readouterr().err
+
+
+def test_prefilter_proved_is_always_false_on_the_corpus():
+    """``DeterminismStats.prefilter_proved`` stays in rows for their
+    readers; nothing sets it any more."""
+    from repro.analysis.determinism import DeterminismOptions
+    from repro.core.pipeline import Rehearsal
+    from repro.corpus import CASES, FIXED_VARIANTS, load_source
+
+    tool = Rehearsal(options=DeterminismOptions(incremental=False))
+    names = sorted(CASES) + sorted(FIXED_VARIANTS)
+    assert len(names) == 19
+    for name in names:
+        det = tool.check_determinism(load_source(name))
+        assert det.stats.prefilter_proved is False, name
+
+
 @pytest.mark.parametrize("name", sorted(repro._LAZY_EXPORTS))
 def test_root_export_is_its_defining_modules_object(name):
     """``repro.X`` is the very object its table entry's module defines,
@@ -122,9 +192,11 @@ def test_retired_test_orchestration_is_gone():
 
 @pytest.mark.parametrize("action", ["testmap", "burnin", "testreport"])
 def test_retired_subcommands_fail_loudly(action, capsys):
-    """The retired subcommands are not verbs any more: the CLI reads
-    the word as a manifest path and fails with a usage error."""
-    from repro.core.cli import main as cli_main
+    """The retired subcommands are not verbs any more: the CLI names
+    the word as an unknown command and lists the real ones."""
+    from repro.core.cli import COMMANDS, main as cli_main
 
     assert cli_main([action]) == 2
-    assert f"cannot read manifest {action}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: unknown command '{action}'" in err
+    assert all(command in err for command in COMMANDS)

@@ -54,7 +54,6 @@ def separate_row(verifier: BatchVerifier, name: str, source: str) -> dict:
     context = ModelContext(
         package_db=PackageDatabase(synthesize=verifier.synthesize_packages),
         platform=verifier.platform,
-        package_semantics=verifier.package_semantics,
     )
     tool = Rehearsal(
         context=context, options=verifier.options, node_name=verifier.node_name
@@ -88,20 +87,6 @@ def test_corpus_rows_match_separate_runs():
     )
 
 
-def test_snapshot_rows_match_separate_runs():
-    """Snapshot semantics adds the prelude to copies of the graph and
-    programs.  The six racy benchmarks and their fixes cover both
-    verdicts; the whole corpus in this mode takes seconds more."""
-    verifier = BatchVerifier(
-        OPTIONS, workers=1, cache=None, package_semantics="snapshot"
-    )
-    names = [n for n in CORPUS if n.endswith(("-nondet", "-fixed"))]
-    assert len(names) == 12
-    assert_rows_match(
-        verifier, [(f"{name}.pp", load_source(name)) for name in names]
-    )
-
-
 @pytest.mark.parametrize("name", sorted(BROKEN))
 def test_frontend_failures_match_separate_runs(name):
     verifier = BatchVerifier(OPTIONS, workers=1, cache=None)
@@ -119,33 +104,6 @@ def test_unmodeled_resources_each_get_a_diagnostic():
     ).results
     rules = [d["rule_id"] for d in row.lint["diagnostics"]]
     assert rules.count("REH003") == 2
-
-
-def test_snapshot_lint_sees_the_graph_without_the_prelude(monkeypatch):
-    import repro.analysis.lint as lint_pkg
-    from repro.resources.snapshot import (
-        SNAPSHOT_EPILOGUE_NODE,
-        SNAPSHOT_PRELUDE_NODE,
-    )
-
-    seen = []
-
-    def spy(*args, frontend=None, **kwargs):
-        seen.append(frontend)
-        return lint_source(*args, frontend=frontend, **kwargs)
-
-    monkeypatch.setattr(lint_pkg, "lint_source", spy)
-    verifier = BatchVerifier(
-        OPTIONS, workers=1, cache=None, package_semantics="snapshot"
-    )
-    row = verifier.verify_sources(
-        [("ntp-nondet.pp", load_source("ntp-nondet"))]
-    ).results[0]
-    (front,) = seen
-    added = {SNAPSHOT_PRELUDE_NODE, SNAPSHOT_EPILOGUE_NODE}
-    assert not added & set(front.graph.nodes)
-    assert not added & set(front.programs)
-    assert row.resource_count == front.graph.number_of_nodes() + 2
 
 
 def test_lint_crash_keeps_the_verdict_and_is_logged(monkeypatch, caplog):

@@ -238,13 +238,42 @@ class TestDispatch:
         assert cli_main(["cache", "--cache-dir", str(cache_dir), "stats"]) == 0
         assert expected in capsys.readouterr().out
 
-    def test_cache_clear_is_gone(self, fleet):
-        # ``cache-clear`` is no subcommand: it reads as a manifest path,
-        # and --cache-dir is no verify flag.
+    def test_cache_clear_is_gone(self, fleet, capsys):
+        # ``cache-clear`` is no subcommand and names no manifest, so the
+        # CLI names it as an unknown command and lists the real ones.
         _, cache_dir = fleet
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["cache-clear", "--cache-dir", str(cache_dir)])
-        assert exc.value.code == 2
+        code = cli_main(["cache-clear", "--cache-dir", str(cache_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: unknown command 'cache-clear'" in err
+        assert "verify-batch" in err and "cache" in err
+
+    def test_missing_pp_still_reads_as_a_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A first word ending in .pp is a manifest path even when no
+        # such file exists: the error is about the file, not a command.
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(["missing.pp"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read manifest" in err
+        assert "unknown command" not in err
+
+    def test_corpus_manifest_without_verify_word(self, capsys):
+        from repro.corpus import manifest_dir
+
+        code = cli_main([str(manifest_dir() / "ntp-fixed.pp")])
+        assert code == 0
+        assert "DETERMINISTIC" in capsys.readouterr().out
+
+    def test_existing_file_without_suffix_reads_as_a_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "site").write_text(GOOD)
+        assert cli_main(["site"]) == 0
+        assert "DETERMINISTIC" in capsys.readouterr().out
 
 
 class TestCorpusBatch:

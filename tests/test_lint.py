@@ -2,8 +2,8 @@
 
 Covers the rule registry, per-rule emission, severity semantics
 (including the REH006 demotion contract), the escalation guard, rule
-disabling, the ``lint_prefilter`` fast path, the per-manifest lint row
-in batch reports, and the ``rehearsal lint`` CLI exit-code contract.
+disabling, the per-manifest lint row in batch reports, and the
+``rehearsal lint`` CLI exit-code contract.
 """
 
 import json
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.determinism import DeterminismOptions
 from repro.analysis.lint import (
     Diagnostic,
     LintContext,
@@ -26,8 +25,6 @@ from repro.analysis.lint import (
 )
 from repro.analysis.lint.engine import Rule, register_rule
 from repro.core.cli import main as cli_main
-from repro.core.pipeline import Rehearsal
-from repro.corpus import load_source
 from repro.fs import ID, cp, creat, eval_expr, file_, ite, none_, rm, seq
 from repro.fs.paths import Path as FsPath
 from repro.fs.rewrite import proves_idempotent
@@ -364,35 +361,6 @@ class TestReportShape:
             {"rule_id", "severity", "line", "col"} <= set(d)
             for d in data["diagnostics"]
         )
-
-
-class TestPrefilter:
-    """``DeterminismOptions.lint_prefilter``: when every unordered pair
-    commutes the determinism verdict is proved without symbolic
-    exploration or SAT — and verdicts never change either way."""
-
-    def test_proves_deterministic_corpus_without_sat(self):
-        tool = Rehearsal(options=DeterminismOptions(lint_prefilter=True))
-        report = tool.verify(load_source("amavis"), name="amavis")
-        det = report.determinism
-        assert det.deterministic is True
-        assert det.stats.prefilter_proved
-        assert det.stats.sat_queries == 0
-        assert det.stats.branches_explored == 0
-
-    def test_does_not_change_nondet_verdicts(self):
-        source = load_source("ntp-nondet")
-        plain = Rehearsal().verify(source, name="ntp")
-        fast = Rehearsal(
-            options=DeterminismOptions(lint_prefilter=True)
-        ).verify(source, name="ntp")
-        assert plain.deterministic is False
-        assert fast.deterministic is False
-        assert not fast.determinism.stats.prefilter_proved
-
-    def test_off_by_default(self):
-        report = Rehearsal().verify(load_source("amavis"), name="amavis")
-        assert not report.determinism.stats.prefilter_proved
 
 
 class TestBatchLintRow:

@@ -3,11 +3,9 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SolverError
 from repro.logic.terms import TermBank
 from repro.sat.brute import brute_force_solve, check_assignment
 from repro.sat.solver import Solver
@@ -160,26 +158,6 @@ class TestIncrementalClauseAddition:
         solver.add_clause([1, 2])
         assert solver.solve().sat
         assert len(solver.clause_database()) == 1  # just the unit
-
-    def test_solver_reusable_after_conflict_budget_exhaustion(self):
-        """Regression: an exhausted conflict budget must leave the
-        solver at decision level 0, or the next add_clause would be
-        rejected (or, worse, simplified against stale assumption-level
-        assignments)."""
-        rng = random.Random(11)
-        clauses = [
-            [rng.choice([-1, 1]) * rng.randint(1, 14) for _ in range(3)]
-            for _ in range(70)
-        ]
-        solver = Solver(14)
-        for clause in clauses:
-            solver.add_clause(clause)
-        with pytest.raises(SolverError):
-            solver.solve(assumptions=[1, 2, 3], max_conflicts=1)
-        solver.add_clause([14])  # must not raise
-        result = solver.solve()
-        oracle = brute_force_solve(clauses + [[14]], 14)
-        assert result.sat == (oracle is not None)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))

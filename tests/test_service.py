@@ -106,16 +106,48 @@ class TestCacheKey:
         assert cache_key(GOOD) != cache_key(GOOD, version="0.0.0-other")
 
     def test_key_changes_with_package_modeling_knobs(self):
-        # --strict-packages and snapshot semantics change verdicts, so
-        # they must change the key (a strict run must never be served a
-        # verdict computed with package synthesis on, and vice versa).
+        # --strict-packages changes verdicts, so it must change the key
+        # (a strict run must never be served a verdict computed with
+        # package synthesis on, and vice versa).
         assert cache_key(GOOD) != cache_key(GOOD, synthesize_packages=False)
-        assert cache_key(GOOD) != cache_key(
-            GOOD, package_semantics="snapshot"
-        )
 
     def test_key_is_stable(self):
         assert cache_key(GOOD) == cache_key(GOOD)
+
+    def test_every_verdict_option_moves_both_keys(self):
+        """``cache_key`` and the incremental store's options digest
+        read the same options (``verdict_options``): every field but
+        the store's own plumbing changes both keys, and the plumbing
+        changes neither."""
+        import dataclasses
+
+        from repro.service.incremental import _det_options_digest
+
+        def keys(options):
+            return cache_key(GOOD, options=options), _det_options_digest(
+                options
+            )
+
+        base = DeterminismOptions(incremental=False)
+        base_keys = keys(base)
+        for f in dataclasses.fields(DeterminismOptions):
+            value = getattr(base, f.name)
+            if isinstance(value, bool):
+                other = not value
+            elif isinstance(value, int):
+                other = value + 1
+            elif isinstance(value, str):
+                other = value + "-other"
+            else:
+                other = {"timeout_seconds": 1.0, "incremental_dir": "d"}[
+                    f.name
+                ]
+            changed = keys(dataclasses.replace(base, **{f.name: other}))
+            if f.name in ("incremental", "incremental_dir"):
+                assert changed == base_keys, f.name
+            else:
+                assert changed[0] != base_keys[0], f.name
+                assert changed[1] != base_keys[1], f.name
 
     def test_source_digest_is_plain_sha256(self):
         import hashlib

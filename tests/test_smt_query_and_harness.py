@@ -97,6 +97,21 @@ class TestHarness:
         )
         assert bad.deterministic is False
 
+    def test_timed_out_cell_shows_unknown_counters(self):
+        from harness import render_rows, timed_determinism
+
+        result = timed_determinism("irc-nondet", True, True, max_branches=1)
+        assert result.timed_out
+        assert result.branches_explored > 0
+        assert (
+            result.distinct_finals,
+            result.sat_queries,
+            result.sat_conflicts,
+        ) == (None, None, None)
+        text = render_rows("T", ["cell"], [(result,)])
+        assert "timeout" in text
+        assert "?f ?q ?c" in text
+
     def test_synthetic_conflict_graph(self):
         from harness import synthetic_conflict_graph
 

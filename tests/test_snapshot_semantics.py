@@ -12,7 +12,10 @@ from repro import Rehearsal
 from repro.fs import ERROR, FileSystem, eval_expr, seq
 from repro.resources import ModelContext
 from repro.resources.package import marker_path
-from repro.resources.snapshot import SNAPSHOT_PRELUDE_NODE
+from repro.resources.snapshot import (
+    SNAPSHOT_EPILOGUE_NODE,
+    SNAPSHOT_PRELUDE_NODE,
+)
 
 FIG_3C = """
 package{'golang-go': ensure => present }
@@ -50,6 +53,21 @@ class TestPreludeInjection:
     def test_direct_mode_unchanged(self, direct_tool):
         graph, _ = direct_tool.compile(FIG_3C)
         assert SNAPSHOT_PRELUDE_NODE not in graph.nodes
+
+    def test_with_prelude_leaves_the_frontend_unchanged(self, snapshot_tool):
+        """The prelude goes into copies, so the frontend (what lint
+        sees) keeps the graph as the manifest declares it."""
+        front = snapshot_tool.frontend(FIG_3C)
+        nodes = list(front.graph.nodes)
+        edges = list(front.graph.edges)
+        programs = dict(front.programs)
+        graph, compiled = snapshot_tool.with_prelude(front)
+        added = {SNAPSHOT_PRELUDE_NODE, SNAPSHOT_EPILOGUE_NODE}
+        assert added <= set(graph.nodes) and added <= set(compiled)
+        assert graph.number_of_nodes() == len(nodes) + 2
+        assert list(front.graph.nodes) == nodes
+        assert list(front.graph.edges) == edges
+        assert front.programs == programs
 
 
 class TestFig3cUnderSnapshot:
