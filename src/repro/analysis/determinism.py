@@ -15,7 +15,10 @@ initial filesystem to at most one outcome:
    commutativity reduction (Fig. 9a) still applies first: when a
    fringe resource commutes with every other remaining resource that
    could be scheduled before or after it, explore only that resource
-   next instead of branching;
+   next instead of branching.  When that leaves a single choice at
+   every step (checked first, on the remaining-sets alone), there is
+   one order and one final state, and the check returns before any
+   symbolic state is built;
 3. race each final state against the first one as exploration lands
    it (*eager first-divergence racing*): state equality is transitive
    at a fixed initial state, so comparing every final against final 0
@@ -25,6 +28,8 @@ initial filesystem to at most one outcome:
 4. each comparison is one assumption-guarded check on a shared SAT
    backend.  The first SAT stops exploration ⇒ non-deterministic, with
    a decoded witness initial filesystem and two diverging orders.
+   Replaying both orders on the witness localizes the race
+   (:mod:`repro.analysis.localize`) with no further SAT call.
 
 The memoization changes the Fig. 13 asymptotics: n unordered,
 mutually-conflicting writers induce n! orders but only O(n·2^n)
@@ -153,11 +158,11 @@ class DeterminismStats:
     sat_vars: int = 0
     sat_clauses: int = 0
     #: Assumption-based checks issued on the shared solver: one per
-    #: candidate order pair until the first diverging pair (plus the
-    #: localization checks, counted separately in the race report).
+    #: candidate order pair until the first diverging pair.  Race
+    #: localization replays the witness and adds none.
     sat_queries: int = 0
-    #: CDCL conflicts/decisions summed over every check on the shared
-    #: solver (including localization) — the ``--profile`` view.
+    #: CDCL conflicts/decisions summed over those checks — the
+    #: ``--profile`` view.
     sat_conflicts: int = 0
     sat_decisions: int = 0
     explore_seconds: float = 0.0
@@ -192,8 +197,8 @@ class DeterminismResult:
     witness_orders: Optional[Tuple[List[NodeId], List[NodeId]]] = None
     witness_outcomes: Optional[Tuple[object, object]] = None
     #: For non-deterministic manifests: the racing resource pair and
-    #: contended path recovered from the unsat core of the equality
-    #: assumptions (see :mod:`repro.analysis.localize`).
+    #: contended path, localized by replaying the two diverging orders
+    #: on the witness (see :mod:`repro.analysis.localize`).
     race: Optional[RaceReport] = None
 
     def __bool__(self) -> bool:
@@ -227,13 +232,11 @@ class _Explorer:
         self,
         graph: DiGraph,
         programs: Dict[NodeId, fx.Expr],
-        bank: TermBank,
         options: DeterminismOptions,
         deadline: Optional[float],
     ):
         self.graph = graph
         self.programs = programs
-        self.bank = bank
         self.options = options
         self.deadline = deadline
         nodes = list(graph.nodes)
@@ -254,7 +257,24 @@ class _Explorer:
         self.explore_seconds = 0.0
         self.finals: List[Tuple[SymbolicState, List[NodeId]]] = []
 
-    def walk(self, init: SymbolicState):
+    def single_order(self) -> bool:
+        """Replay :meth:`frontier` over the remaining-sets alone, with
+        no symbolic state: True when no expansion offers a choice, so
+        :meth:`walk` would reach exactly one final state.  Counts
+        :attr:`branches` and checks the budget as :meth:`walk` does;
+        on False the count is reset for :meth:`walk` to redo."""
+        remaining = frozenset(self.graph.nodes)
+        while remaining:
+            self._check_budget()
+            chosen = self.frontier(remaining)
+            if len(chosen) > 1:
+                self.branches = 0
+                return False
+            self.branches += 1
+            remaining = remaining - {chosen[0]}
+        return True
+
+    def walk(self, bank: TermBank, init: SymbolicState):
         """Lazy exploration: a generator yielding each deduplicated
         final ``(state, order)`` in DFS order, as it is discovered
         (and appended to :attr:`finals`).  ``check_determinism`` races
@@ -289,9 +309,7 @@ class _Explorer:
             pending = []
             for n in chosen:
                 self.branches += 1
-                next_state = apply_expr(
-                    self.bank, state, self.programs[n]
-                )
+                next_state = apply_expr(bank, state, self.programs[n])
                 next_remaining = remaining - {n}
                 if use_memo:
                     key = (next_remaining, next_state.fingerprint())
@@ -439,22 +457,12 @@ def check_determinism(
         stats.distinct_finals = 1  # the single (possibly empty) order
         return DeterminismResult(True, stats)
 
-    from repro.logic.terms import TermBank
-    from repro.sat.backend import parse_backend_spec
-    from repro.smt.query import IncrementalQuery
-    from repro.smt.state import (
-        initial_constraints,
-        initial_state,
-        states_differ,
-    )
     from repro.smt.values import PathDomains
 
-    bank = TermBank()
     domains = PathDomains.for_exprs(
         [work_programs[n] for n in work_graph.nodes]
     )
     stats.modeled_paths = len(domains)
-    init = initial_state(bank, domains)
 
     # Cross-run persistence of whole results: only for string node ids
     # (recorded orders and races round-trip through JSON).
@@ -479,7 +487,30 @@ def check_determinism(
         if served is not None:
             served.stats.subtree_reuse_hits += 1
             return served
-    explorer = _Explorer(work_graph, work_programs, bank, options, deadline)
+    explorer = _Explorer(work_graph, work_programs, options, deadline)
+    explore_start = time.perf_counter()
+    if explorer.single_order():
+        # One schedulable resource at every step: a single order and a
+        # single final state, so no symbolic state and no SAT query.
+        stats.explore_seconds = time.perf_counter() - explore_start
+        stats.branches_explored = explorer.branches
+        stats.distinct_finals = 1
+        stats.total_seconds = time.perf_counter() - start
+        if inc is not None:
+            inc.record_root(DeterminismResult(True, stats))
+        return DeterminismResult(True, stats)
+
+    from repro.logic.terms import TermBank
+    from repro.sat.backend import parse_backend_spec
+    from repro.smt.query import IncrementalQuery
+    from repro.smt.state import (
+        initial_constraints,
+        initial_state,
+        states_differ,
+    )
+
+    bank = TermBank()
+    init = initial_state(bank, domains)
     backend = parse_backend_spec(options.solver)
 
     # Eager first-divergence racing.  Each final races against the
@@ -493,9 +524,7 @@ def check_determinism(
     # previous ones.
     query: Optional[IncrementalQuery] = None
     result = None
-    sat_index = None
-    sat_selector = None
-    walk = explorer.walk(init)
+    walk = explorer.walk(bank, init)
     base = next(walk)
     for state_i, _order_i in walk:
         # walk() only re-checks the deadline at its next expansion;
@@ -523,9 +552,7 @@ def check_determinism(
         result = query.check(assumptions=[selector])
         stats.sat_queries += 1
         if result.sat:
-            sat_index = i
-            sat_selector = selector
-            break
+            break  # the last final diverges from the base
         if not result.core_lits:
             # The initial-state constraints alone are unsatisfiable:
             # no pair can ever diverge, skip the remaining queries.
@@ -572,30 +599,24 @@ def check_determinism(
         return retry
     # Localize only once the verdict is final (the elimination
     # fallback above would discard this work and redo the analysis).
-    base_state, base_order = finals[0]
-    race = localize_race(
-        bank,
-        domains,
-        base_state,
-        finals[sat_index][0],
-        base_order,
-        finals[sat_index][1],
-        work_graph,
-        {n: programs[n] for n in graph.nodes},
-        query,
-        sat_selector,
-        deadline=deadline,
-        descendants=explorer.descendants,
-        witness=witness,
-    )
-    stats.solve_seconds = query.solve_seconds
-    stats.sat_conflicts = query.conflicts
-    stats.sat_decisions = query.decisions
+    # Without concrete orders (an encoding bug with elimination off)
+    # the witness shows no divergence to replay, so the static ranking
+    # decides.
     outcome_pair = None
     order_pair = None
     if orders is not None:
         order_pair = (orders[0], orders[1])
         outcome_pair = (orders[2], orders[3])
+    race = localize_race(
+        finals[0][1],
+        finals[-1][1],
+        work_graph,
+        {n: programs[n] for n in graph.nodes},
+        domains.paths,
+        outcomes=outcome_pair,
+        descendants=explorer.descendants,
+        witness=witness if orders is not None else None,
+    )
     nondet = DeterminismResult(
         False,
         stats,

@@ -1,26 +1,24 @@
-"""Unsat-core fault localization for non-deterministic manifests.
+"""Race localization for non-deterministic manifests, by witness replay.
 
 A raw SAT verdict ("the manifest is non-deterministic, here is a
 witness filesystem") leaves the user to reconstruct *which* resource
 interaction actually races — the paper's users did this by hand (§6).
-This module automates it with the assumption interface of the
-incremental solver:
+By the time this module runs, the determinacy check already holds
+everything needed: the decoded witness and the two concrete outcomes
+of the diverging orders replayed on it (see
+:func:`repro.analysis.determinism._diverging_orders`).  Localization
+makes no further SAT call:
 
-1. Assert the initial-state constraints **and** the state difference of
-   the diverging pair of execution orders (known satisfiable — that is
-   the non-determinism witness).
-2. For every modeled path ``p``, register a guarded *equality*
-   assumption ``eq$p`` ("the two orders agree on ``p``"), plus one for
-   the error status.
-3. Check with **all** equality assumptions enabled.  The conjunction is
-   unsatisfiable by construction (the orders do diverge), and the final
-   conflict yields an unsat core: a subset of the equalities that
-   cannot hold together with the divergence.
-4. Shrink the core by iterated re-solving (each pass re-checks with
-   only the previous core assumed; the incremental solver reuses all
-   learned clauses, so this is nearly free), then map the surviving
-   ``eq$p`` assumptions back to filesystem paths and to the pair of
-   unordered resources whose footprints contend on them.
+1. Compare the two outcomes.  When exactly one order errors, the
+   orders disagree on the error status and no single path is
+   implicated; otherwise the implicated paths are the modeled paths
+   whose final contents differ.
+2. Rank the unordered resource pairs that swap between the two orders
+   by how their footprints contend, preferring the implicated paths
+   (:func:`_pick_pair`).
+3. Validate the ranking concretely: the best candidate whose adjacent
+   swap changes the outcome at some state reachable from the witness
+   wins (:func:`_concretely_racing`).
 
 The result names the racing resource pair and the contended path —
 "File[/etc/ntp.conf] and Package[ntp] race on /etc/ntp.conf" — which
@@ -29,26 +27,16 @@ The result names the racing resource pair and the contended path —
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.commutativity import Footprint, footprint
 from repro.digraph import DiGraph, has_path
-from repro.errors import SolverError
 from repro.fs import FileSystem, syntax as fx
 from repro.fs.paths import Path
-from repro.fs.semantics import ERROR, eval_expr
-from repro.logic.terms import TermBank
-from repro.smt.query import IncrementalQuery
-from repro.smt.state import SymbolicState
-from repro.smt.values import PathDomains
+from repro.fs.semantics import ERROR, Result, eval_expr
 
 NodeId = Hashable
-
-#: Cores at or below this size are minimized by deletion (one re-solve
-#: per member); larger cores only get the cheap iterated shrinking.
-DELETION_MINIMIZE_LIMIT = 8
 
 #: Concrete-evaluation budget for validating a candidate racing pair
 #: on the witness filesystem (see :func:`_concretely_racing`).
@@ -62,17 +50,15 @@ class RaceReport:
     #: The two resources whose relative order changes the outcome.
     resource_a: NodeId
     resource_b: NodeId
-    #: The contended path both of them touch (one of ``core_paths``),
-    #: None when the divergence is purely an error-status change with
-    #: no single contended path identified.
+    #: The contended path both of them touch, None when the divergence
+    #: is purely an error-status change with no single contended path
+    #: identified.
     path: Optional[Path]
-    #: Every path named by the minimized unsat core.
+    #: The modeled paths on which the two orders' outcomes on the
+    #: witness differ (empty on an error-status divergence).
     core_paths: List[Path] = field(default_factory=list)
-    #: True when the orders disagree on whether the run errors.
+    #: True when exactly one of the two orders errors on the witness.
     ok_divergence: bool = False
-    #: Assumption-query statistics (each shrink pass is one check on
-    #: the shared solver).
-    checks: int = 0
 
     def describe(self) -> str:
         on = (
@@ -84,33 +70,23 @@ class RaceReport:
 
 
 def localize_race(
-    bank: TermBank,
-    domains: PathDomains,
-    base: SymbolicState,
-    other: SymbolicState,
     base_order: Sequence[NodeId],
     other_order: Sequence[NodeId],
     graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
-    query: IncrementalQuery,
-    pair_selector: int,
-    deadline: Optional[float] = None,
+    modeled_paths: Sequence[Path],
+    outcomes: Optional[Tuple[Result, Result]] = None,
     descendants: Optional[Mapping[NodeId, frozenset]] = None,
     witness: Optional[FileSystem] = None,
 ) -> Optional[RaceReport]:
-    """Map a diverging pair of symbolic final states to the racing
-    resource pair and contended path; see the module docstring.
+    """Name the racing resource pair and contended path between two
+    diverging explored orders; see the module docstring.
 
-    ``query`` is the determinacy check's shared incremental solver and
-    ``pair_selector`` the selector of the diverging pair's difference
-    term, so localization rides on everything already encoded and
-    learned.  Localization respects the analysis budget: once
-    ``deadline`` (a ``time.perf_counter()`` instant) passes, core
-    minimization stops with the best core found so far.  Returns None
-    when localization cannot name a pair (e.g. single-resource
-    divergence after elimination) or when the backend gives up before
-    the first unsat core exists (an external solver's wall-clock
-    timeout raises :class:`SolverError`).
+    ``outcomes`` — the two orders' concrete outcomes on ``witness``
+    (a :class:`FileSystem` or ``ERROR`` each).  The modeled paths on
+    which they differ rank the candidate pairs.  Without them (the
+    witness shows no concrete divergence) no path is preferred and
+    the static footprint ranking decides.
 
     ``descendants`` — optional node → descendant-set mapping of
     ``graph`` (the explorer precomputes it); when provided, the
@@ -125,49 +101,24 @@ def localize_race(
     — the static footprint ranking alone can name a pair that merely
     shares an idempotently-ensured directory while the true race runs
     through a parent directory one resource creates for the other.
+
+    Returns None when no swapped, unordered pair exists (e.g. a
+    single-resource divergence after elimination).
     """
-    checks_before = query.checks
-    selectors: Dict[int, Optional[Path]] = {}
-    assumptions: List[int] = [pair_selector]
-    ok_eq = bank.iff(base.ok, other.ok)
-    s_ok = query.add_selector("eq$ok", ok_eq)
-    selectors[s_ok] = None
-    assumptions.append(s_ok)
-    for path in domains.paths:
-        v1 = base.value(path)
-        v2 = other.value(path)
-        if v1 is v2:
-            continue  # identical symbolic value: cannot be in any core
-        s = query.add_selector(f"eq${path}", v1.equals(bank, v2))
-        selectors[s] = path
-        assumptions.append(s)
-
-    try:
-        result = query.check(assumptions=assumptions)
-    except SolverError:
-        return None  # the backend gave up (an external solver's
-        # timeout): localization is best-effort diagnostics, never a crash
-    if result.sat:
-        # The equalities are jointly consistent with the difference —
-        # only possible if the "difference" was over paths outside the
-        # domain; nothing to localize.
-        return None
-    core = _minimize_core(
-        query,
-        result.core_lits,
-        keep=pair_selector,
-        deadline=deadline,
-    )
-
-    core_paths = sorted(
-        {
-            selectors[s]
-            for s in core
-            if selectors.get(s) is not None
-        },
-        key=str,
-    )
-    ok_divergence = s_ok in core
+    core_paths: List[Path] = []
+    ok_divergence = False
+    if outcomes is not None:
+        base, other = outcomes
+        ok_divergence = (base is ERROR) != (other is ERROR)
+        if base is not ERROR and other is not ERROR:
+            core_paths = sorted(
+                (
+                    p
+                    for p in modeled_paths
+                    if base.lookup(p) != other.lookup(p)
+                ),
+                key=str,
+            )
     pair = _pick_pair(
         core_paths,
         base_order,
@@ -184,70 +135,9 @@ def localize_race(
         resource_a=resource_a,
         resource_b=resource_b,
         path=path,
-        core_paths=list(core_paths),
+        core_paths=core_paths,
         ok_divergence=ok_divergence,
-        checks=query.checks - checks_before,
     )
-
-
-def _minimize_core(
-    query: IncrementalQuery,
-    core: List[int],
-    keep: int,
-    deadline: Optional[float] = None,
-) -> List[int]:
-    """Shrink an unsat core on the shared solver.
-
-    First iterate "re-solve with the core as the only assumptions"
-    until it stops shrinking (final-conflict analysis often tightens),
-    then, for small cores, try dropping each member except ``keep``
-    (deletion-based minimization).  Every check reuses the solver's
-    learned clauses, so each pass is nearly free.  A passed
-    ``deadline`` or a backend that gives up (:class:`SolverError`)
-    ends minimization early with the best (still valid) core found so
-    far.
-    """
-
-    def out_of_budget() -> bool:
-        return deadline is not None and time.perf_counter() > deadline
-
-    if keep not in core:
-        core = [keep] + core
-    try:
-        while True:
-            if out_of_budget():
-                return core
-            result = query.check(assumptions=core)
-            if result.sat or not result.core_lits:
-                return core  # defensive: keep the last known core
-            new_core = result.core_lits
-            if keep not in new_core:
-                new_core = [keep] + new_core
-            if len(new_core) >= len(core):
-                core = new_core
-                break
-            core = new_core
-        if len(core) > DELETION_MINIMIZE_LIMIT:
-            return core
-        i = 0
-        while i < len(core):
-            if core[i] == keep:
-                i += 1
-                continue
-            if out_of_budget():
-                return core
-            candidate = core[:i] + core[i + 1 :]
-            result = query.check(assumptions=candidate)
-            if result.sat:
-                i += 1  # member is essential
-            else:
-                core = result.core_lits or candidate
-                if keep not in core:
-                    core = [keep] + core
-                i = 0  # core may have been reordered; rescan
-    except SolverError:
-        pass  # the backend gave up mid-minimization
-    return core
 
 
 def _pick_pair(
@@ -262,7 +152,7 @@ def _pick_pair(
     """The racing pair: two resources that swap relative order between
     the two diverging linearizations, are unordered in the dependency
     graph, and have conflicting footprints — preferring pairs that
-    contend on a path from the unsat core, concretely validated on the
+    contend on one of ``core_paths``, concretely validated on the
     witness when one is available."""
     position = {n: i for i, n in enumerate(base_order)}
     other_position = {n: i for i, n in enumerate(other_order)}
@@ -312,7 +202,7 @@ def _pick_pair(
         }
         real_writes = fa.writes | fb.writes
         for p in shared | parent_conflicts:
-            # Prefer paths the unsat core names, then genuine writes
+            # Prefer the paths the outcomes differ on, then genuine writes
             # over idempotent directory creation, then parent-conflict
             # evidence, then the most specific (deepest) path.
             score = (

@@ -252,7 +252,7 @@ class PruneReport:
     Fig. 11 speedups.  ``writers_by_path`` maps every surviving
     stateful path to the indices of the resources writing it — the
     contention-candidate view of a manifest: paths with two or more
-    writers are the ones the unsat-core localization
+    writers are the ones race localization
     (:mod:`repro.analysis.localize`) can end up naming, and a pruned
     path by construction never appears with more than one writer."""
 

@@ -39,7 +39,7 @@ def render_explanation(
         return "(nothing to explain: the manifest is deterministic)"
     parts = []
     if result.race is not None:
-        parts.append(f"Race localized (unsat core): {result.race.describe()}")
+        parts.append(f"Race localized (witness replay): {result.race.describe()}")
         parts.extend(
             _declaration_lines(
                 (result.race.resource_a, result.race.resource_b),

@@ -1,16 +1,41 @@
 """Boolean logic substrate: hash-consed formulas and Tseitin CNF."""
 
-from repro.logic.cnf import CNF, tseitin
-from repro.logic.simplify import propagate_units, substitute
-from repro.logic.terms import Term, TermBank, dag_size, iter_dag
+# Lazy (PEP 562), like repro.smt: the value domains import the term
+# bank through this package and must not load the Tseitin encoder,
+# which runs only when a query reaches the SAT solver.
 
-__all__ = [
-    "CNF",
-    "Term",
-    "TermBank",
-    "dag_size",
-    "iter_dag",
-    "propagate_units",
-    "substitute",
-    "tseitin",
-]
+from importlib import import_module
+
+#: name -> defining module.  Only the named module is imported on
+#: first access (checked by tests/test_import_graph.py).
+_LAZY_EXPORTS = {
+    "CNF": "repro.logic.cnf",
+    "Term": "repro.logic.terms",
+    "TermBank": "repro.logic.terms",
+    "dag_size": "repro.logic.terms",
+    "iter_dag": "repro.logic.terms",
+    "propagate_units": "repro.logic.simplify",
+    "substitute": "repro.logic.simplify",
+    "tseitin": "repro.logic.cnf",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+
+def __getattr__(name):
+    target = _LAZY_EXPORTS.get(name)
+    if target is not None:
+        return getattr(import_module(target), name)
+    qualified = f"{__name__}.{name}"
+    try:
+        return import_module(qualified)
+    except ModuleNotFoundError as exc:
+        if exc.name == qualified:
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}"
+            ) from None
+        raise
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -183,7 +183,7 @@ class ExternalBackend:
             # model; downstream evaluation treats absence as False,
             # matching the CDCL backend's convention.
             return SolveResult(True, assignment=model)
-        core = self._minimize_core(assumptions) if assumptions else []
+        core = self._deletion_core(assumptions) if assumptions else []
         return SolveResult(False, core=core)
 
     def _run(self, assumptions: List[int]) -> Tuple[bool, Dict[int, bool]]:
@@ -237,12 +237,11 @@ class ExternalBackend:
                     )
             return verdict, model
 
-    def _minimize_core(self, assumptions: List[int]) -> List[int]:
+    def _deletion_core(self, assumptions: List[int]) -> List[int]:
         """Deletion-based core recovery: an assumption stays in the
         core iff removing it flips the instance to SAT.  Each probe is
         one more solver run, so the core is minimal w.r.t. single
-        deletions (same guarantee callers get from iterated deletion
-        in the localizer)."""
+        deletions."""
         core = list(assumptions)
         i = 0
         while i < len(core):

@@ -47,7 +47,7 @@ NodeId = Hashable
 #: Bump to invalidate every persisted entry (layout or semantics
 #: change).  The package version is part of the gate too, mirroring the
 #: verdict cache's version rotation.
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 _STORE_FILENAME = "incremental.sqlite"
 
@@ -600,7 +600,6 @@ class DetIncremental:
                         Path.of(p) for p in raw_race.get("core_paths", [])
                     ],
                     ok_divergence=bool(raw_race.get("ok_divergence")),
-                    checks=int(raw_race.get("checks", 0)),
                 )
             except (KeyError, ValueError, TypeError):
                 return None
@@ -645,7 +644,6 @@ class DetIncremental:
                     ),
                     "core_paths": [str(p) for p in result.race.core_paths],
                     "ok_divergence": result.race.ok_divergence,
-                    "checks": result.race.checks,
                 }
                 if result.race is not None
                 else None

@@ -49,9 +49,10 @@ class ManifestResult:
     idempotent: Optional[bool] = None
     resource_count: int = 0
     #: For non-deterministic manifests: the racing resource pair and
-    #: contended filesystem path recovered by unsat-core localization
-    #: (:mod:`repro.analysis.localize`), e.g. ``["File['/etc/ntp.conf']",
-    #: "Package['ntp']"]`` racing on ``/etc/ntp.conf``.
+    #: contended filesystem path, localized by replaying the diverging
+    #: orders on the witness (:mod:`repro.analysis.localize`), e.g.
+    #: ``["File['/etc/ntp.conf']", "Package['ntp']"]`` racing on
+    #: ``/etc/ntp.conf``.
     race_pair: Optional[List[str]] = None
     race_path: Optional[str] = None
     error: Optional[str] = None

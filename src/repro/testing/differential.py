@@ -2,7 +2,7 @@
 
 ``run_source`` pushes one manifest through the *real* production
 pipeline (:class:`repro.core.pipeline.Rehearsal` — memoized DAG
-exploration, incremental SAT, unsat-core race localization) and
+exploration, incremental SAT, witness-replay race localization) and
 through the concrete interleaving oracle
 (:mod:`repro.testing.oracle`), then classifies every observable
 disagreement:

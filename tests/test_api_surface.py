@@ -104,7 +104,7 @@ def test_retired_settings_are_gone():
 
     from repro.analysis.determinism import DeterminismOptions
     from repro.analysis.equivalence import check_equivalence
-    from repro.analysis.localize import _minimize_core, localize_race
+    from repro.analysis.localize import localize_race
     from repro.sat.backend import SolverBackend
     from repro.sat.external import ExternalBackend
     from repro.sat.solver import Solver
@@ -124,7 +124,6 @@ def test_retired_settings_are_gone():
         assert "package_semantics" not in inspect.signature(fn).parameters
     for fn in (
         localize_race,
-        _minimize_core,
         check_equivalence,
         check_sat,
         Query.check,
@@ -134,6 +133,21 @@ def test_retired_settings_are_gone():
         Solver.solve,
     ):
         assert "max_conflicts" not in inspect.signature(fn).parameters, fn
+
+
+def test_unsat_core_localization_is_gone():
+    """Races are localized by replaying the witness, not by shrinking
+    an unsat core on the determinacy solver: the core minimizer and its
+    size limit are gone, and ``localize_race`` takes no solver."""
+    import inspect
+
+    from repro.analysis import localize
+
+    assert not hasattr(localize, "_minimize_core")
+    assert not hasattr(localize, "DELETION_MINIMIZE_LIMIT")
+    params = inspect.signature(localize.localize_race).parameters
+    for name in ("bank", "domains", "query", "pair_selector", "deadline"):
+        assert name not in params, name
 
 
 @pytest.mark.parametrize("command", ["verify", "verify-batch", "serve"])

@@ -286,6 +286,57 @@ def random_manifest(rng):
     return build_graph(programs, edges)
 
 
+class TestSingleOrder:
+    """A frontier that never branches has one order and one final, so
+    the check returns from a replay of the frontier over the
+    remaining-sets, with no symbolic state, and reports what the walk
+    would have."""
+
+    def test_irc_fixed_is_proved_without_the_walk(self, monkeypatch):
+        from repro.analysis.determinism import _Explorer
+
+        def no_walk(self, bank, init):
+            raise AssertionError("the symbolic walk ran")
+
+        monkeypatch.setattr(_Explorer, "walk", no_walk)
+        graph, programs = Rehearsal().compile(load_source("irc-fixed"))
+        stats = check_determinism(graph, programs).stats
+        assert (
+            stats.branches_explored,
+            stats.distinct_finals,
+            stats.memo_hits,
+            stats.sat_queries,
+            stats.modeled_paths,
+        ) == (5, 1, 0, 0, 33)
+
+    def test_chain_counts_and_budget_match_the_walk(self):
+        programs = {f"w{i}": creat("/f", str(i)) for i in range(4)}
+        edges = [(f"w{i}", f"w{i + 1}") for i in range(3)]
+        g = DiGraph()
+        g.add_nodes_from(programs)
+        g.add_edges_from(edges)
+        options = dict(use_elimination=False, use_pruning=False)
+        result = check_determinism(g, programs, DeterminismOptions(**options))
+        assert result.deterministic
+        assert result.stats.branches_explored == 4
+        assert result.stats.distinct_finals == 1
+        # The walk checks the budget before each of its 4 expansions,
+        # with 0..3 branches spent; so does the replay.
+        check_determinism(
+            g, programs, DeterminismOptions(max_branches=3, **options)
+        )
+        with pytest.raises(AnalysisBudgetExceeded):
+            check_determinism(
+                g, programs, DeterminismOptions(max_branches=2, **options)
+            )
+
+    def test_a_branching_frontier_still_walks(self):
+        g, p = synthetic_conflict_graph(2)
+        result = check_determinism(g, p)
+        assert not result.deterministic
+        assert result.stats.sat_queries == 1
+
+
 class TestOracleAgreement:
     """The memoized DAG exploration and the naive order-enumerating
     oracle must agree on the verdict, and both must exhibit concretely

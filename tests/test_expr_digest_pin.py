@@ -30,4 +30,4 @@ def test_corpus_expr_digests_are_pinned():
             count += 1
     assert count == CORPUS_PROGRAMS
     assert h.hexdigest() == CORPUS_DIGESTS
-    assert STORE_VERSION == 2
+    assert STORE_VERSION == 3

@@ -45,7 +45,8 @@ FORBIDDEN = (
 
 #: The symbolic back end and the pruning passes.  They load only when
 #: elimination leaves two or more resources (ntp-fixed keeps none;
-#: irc-fixed keeps all 5) or when idempotence falls back to SAT.
+#: irc-fixed keeps all 5) or when idempotence falls back to SAT, and
+#: the SAT stack only when the exploration frontier branches.
 SYMBOLIC = (
     "repro.logic",
     "repro.logic.terms",
@@ -118,12 +119,21 @@ def test_verify_incremental_imports_no_pool_loop_or_graph_library(tmp_path):
 
 def test_verify_with_two_resources_left_loads_the_symbolic_stack(tmp_path):
     """irc-fixed keeps all 5 resources after elimination, so it is
-    pruned and explored symbolically, which loads the SAT stack even
-    though its single final state needs no query.  Only
-    ``FORBIDDEN`` and the equivalence query stay out: there is no
-    divergence and rewriting proves idempotence."""
-    loaded = _probe(tmp_path, "irc-fixed.pp")["loaded"]
-    assert set(loaded) == set(SYMBOLIC) - {"repro.analysis.equivalence"}
+    pruned and its value domains are built.  Its frontier never
+    branches, though, so it has one order and one final state: no
+    symbolic state is built and the SAT stack stays out.  Nor does
+    the equivalence query load: rewriting proves idempotence."""
+    loaded = set(_probe(tmp_path, "irc-fixed.pp")["loaded"])
+    assert not loaded & {"repro.sat.solver", "repro.smt.query", "repro.logic.cnf"}
+    assert loaded == {
+        "repro.analysis.pruning",
+        "repro.analysis.definitive",
+        "repro.fs.domain",
+        "repro.logic",
+        "repro.logic.terms",
+        "repro.smt",
+        "repro.smt.values",
+    }
 
 
 def test_default_store_location_loads_no_row_schema(tmp_path):

@@ -242,6 +242,37 @@ class TestCorpusParity:
         assert served.witness_outcomes == base.witness_outcomes
 
 
+    @pytest.mark.parametrize(
+        "name", [n for n in BENCHMARK_NAMES if n.endswith("-nondet")]
+    )
+    def test_warm_race_report_equals_cold(self, name, tmp_path):
+        """A served ``det_root`` entry rebuilds the whole race report,
+        witness-replay paths and error-status flag included, and
+        records nothing beyond the report's fields."""
+        import dataclasses
+        import sqlite3
+
+        source = load_source(name)
+        opts = incremental_options(tmp_path)
+        cold = verify(source, opts, name)
+        reset_store_registry()
+        warm = verify(source, opts, name)
+        assert warm.determinism.stats.subtree_reuse_hits >= 1
+        assert normalized_row(warm, name) == normalized_row(cold, name)
+        assert dataclasses.asdict(warm.determinism.race) == dataclasses.asdict(
+            cold.determinism.race
+        )
+        reset_store_registry()
+        conn = sqlite3.connect(str(default_store_path(str(tmp_path))))
+        rows = conn.execute(
+            "SELECT value FROM entries WHERE section = 'det_root'"
+        ).fetchall()
+        conn.close()
+        assert [set(json.loads(v)["race"]) for (v,) in rows] == [
+            {"a", "b", "path", "core_paths", "ok_divergence"}
+        ]
+
+
 # -- degradation: a damaged store can cost time, never a verdict --------------
 
 

@@ -1,8 +1,10 @@
-"""Tests for unsat-core race localization (repro.analysis.localize).
+"""Tests for race localization by witness replay
+(repro.analysis.localize).
 
 Pins the localized racing resource pair for all six non-deterministic
 corpus benchmarks — the diagnostics ``rehearsal verify --explain`` and
-the batch JSON rows surface.
+the batch JSON rows surface — and checks that localization makes no
+SAT call of its own.
 """
 
 import pytest
@@ -12,7 +14,8 @@ from repro.core.pipeline import Rehearsal
 from repro.core.report import render_determinism, render_explanation
 from repro.corpus import load_source
 from repro.digraph import DiGraph
-from repro.fs import Path, creat, file_, ite, none_, rm, seq
+from repro.fs import ERROR, ID, Path, creat, file_, ite, mkdir, none_, rm, seq
+from repro.sat.solver import Solver
 
 #: benchmark -> (racing pair, contended path) as seeded in the corpus
 #: (see repro/corpus/__init__.py bug descriptions).
@@ -61,8 +64,9 @@ class TestCorpusRaces:
         assert {str(race.resource_a), str(race.resource_b)} == expected_pair
         assert str(race.path) == expected_path
         # The corpus bugs are all missing-dependency errors: one order
-        # errors where the other succeeds.
+        # errors where the other succeeds, so no path is implicated.
         assert race.ok_divergence
+        assert race.core_paths == []
 
     def test_deterministic_manifest_has_no_race(self):
         tool = Rehearsal()
@@ -106,6 +110,26 @@ class TestSyntheticRaces:
         assert Path.of("/shared") in race.core_paths
         assert not race.ok_divergence
 
+    def test_error_divergence_implicates_no_path(self):
+        """A writer into a directory another resource creates: run
+        first, the writer errors on the missing parent, so exactly one
+        order errors on the witness and no path is implicated."""
+        programs = {
+            "dir": ite(none_(Path.of("/d")), mkdir(Path.of("/d")), ID),
+            "file": set_file("/d/f", "x"),
+        }
+        graph = DiGraph()
+        graph.add_nodes_from(programs)
+        result = check_determinism(graph, programs, DeterminismOptions())
+        assert not result.deterministic
+        race = result.race
+        assert race is not None
+        assert {race.resource_a, race.resource_b} == {"dir", "file"}
+        assert race.ok_divergence
+        assert race.core_paths == []
+        outcomes = result.witness_outcomes
+        assert sum(o is ERROR for o in outcomes) == 1
+
     def test_three_writers_localize_some_racing_pair(self):
         programs = {
             f"w{i}": set_file("/shared", f"c{i}") for i in range(3)
@@ -132,6 +156,60 @@ class TestSyntheticRaces:
         result = check_determinism(graph, programs, DeterminismOptions())
         assert result.deterministic
         assert result.race is None
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = Solver.solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve", counting)
+    return calls
+
+
+class TestNoSolveAfterTheVerdict:
+    """Localization replays the witness: the SAT call that finds the
+    divergence is the last one a NO verdict makes."""
+
+    @pytest.mark.parametrize("name", ["ntp-nondet", "xinetd-nondet"])
+    def test_no_verdict_solves_once(self, name, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        result = _check(name)
+        assert not result.deterministic and result.race is not None
+        assert result.stats.sat_queries == 1
+        assert len(calls) == 1
+
+    def test_no_concrete_divergence_falls_back_to_static_ranking(
+        self, monkeypatch
+    ):
+        """Without elimination, a witness that shows no concrete
+        divergence (only an encoding bug can produce one) still names
+        a pair, from the footprints alone and with no further solve."""
+        import repro.analysis.determinism as determinism
+
+        monkeypatch.setattr(
+            determinism, "_diverging_orders", lambda *args: None
+        )
+        calls = _count_solves(monkeypatch)
+        programs = {
+            "a": set_file("/shared", "from-a"),
+            "b": set_file("/shared", "from-b"),
+        }
+        graph = DiGraph()
+        graph.add_nodes_from(programs)
+        result = check_determinism(
+            graph, programs, DeterminismOptions(use_elimination=False)
+        )
+        assert not result.deterministic
+        assert result.witness_outcomes is None
+        race = result.race
+        assert {race.resource_a, race.resource_b} == {"a", "b"}
+        assert str(race.path) == "/shared"
+        assert race.core_paths == [] and not race.ok_divergence
+        assert len(calls) == 1
 
 
 class TestWritersByPath:
@@ -172,7 +250,9 @@ class TestRendering:
         graph, programs = tool.compile(source)
         result = check_determinism(graph, programs, DeterminismOptions())
         text = render_explanation(result, programs)
-        assert text.splitlines()[0].startswith("Race localized")
+        assert text.splitlines()[0].startswith(
+            "Race localized (witness replay): "
+        )
         assert "race on /etc/ntp.conf" in text
 
     def test_batch_json_rows_carry_the_race(self):
