@@ -85,8 +85,9 @@ def localize_race(
     ``outcomes`` — the two orders' concrete outcomes on ``witness``
     (a :class:`FileSystem` or ``ERROR`` each).  The modeled paths on
     which they differ rank the candidate pairs.  Without them (the
-    witness shows no concrete divergence) no path is preferred and
-    the static footprint ranking decides.
+    witness shows no concrete divergence, so there is no ``witness``
+    to validate on either) no path is preferred and the static
+    footprint ranking decides.
 
     ``descendants`` — optional node → descendant-set mapping of
     ``graph`` (the explorer precomputes it); when provided, the

@@ -24,18 +24,6 @@ __all__ = sorted(_LAZY_EXPORTS)
 
 def __getattr__(name):
     target = _LAZY_EXPORTS.get(name)
-    if target is not None:
-        return getattr(import_module(target), name)
-    qualified = f"{__name__}.{name}"
-    try:
-        return import_module(qualified)
-    except ModuleNotFoundError as exc:
-        if exc.name == qualified:
-            raise AttributeError(
-                f"module {__name__!r} has no attribute {name!r}"
-            ) from None
-        raise
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    if target is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(target), name)

@@ -177,7 +177,11 @@ class TestNoSolveAfterTheVerdict:
     @pytest.mark.parametrize("name", ["ntp-nondet", "xinetd-nondet"])
     def test_no_verdict_solves_once(self, name, monkeypatch):
         calls = _count_solves(monkeypatch)
-        result = _check(name)
+        # Store off: a served result would make no solve at all.
+        graph, programs = Rehearsal().compile(load_source(name))
+        result = check_determinism(
+            graph, programs, DeterminismOptions(incremental=False)
+        )
         assert not result.deterministic and result.race is not None
         assert result.stats.sat_queries == 1
         assert len(calls) == 1
@@ -201,7 +205,9 @@ class TestNoSolveAfterTheVerdict:
         graph = DiGraph()
         graph.add_nodes_from(programs)
         result = check_determinism(
-            graph, programs, DeterminismOptions(use_elimination=False)
+            graph,
+            programs,
+            DeterminismOptions(use_elimination=False, incremental=False),
         )
         assert not result.deterministic
         assert result.witness_outcomes is None
