@@ -50,7 +50,6 @@ _LAZY_EXPORTS = {
     "DependencyCycleError": "repro.errors",
     "DeterminismOptions": "repro.analysis.determinism",
     "DeterminismResult": "repro.analysis.determinism",
-    "ExternalBackend": "repro.sat.external",
     "IdempotenceResult": "repro.analysis.idempotence",
     "ManifestResult": "repro.service",
     "PuppetEvalError": "repro.errors",
@@ -59,11 +58,9 @@ _LAZY_EXPORTS = {
     "RehearsalDaemon": "repro.service.daemon",
     "ReproError": "repro.errors",
     "ResourceModelError": "repro.errors",
-    "SolverBackend": "repro.sat.backend",
     "TieredVerdictCache": "repro.service.tiered",
     "VerdictCache": "repro.service",
     "VerificationReport": "repro.core.pipeline",
-    "parse_backend_spec": "repro.sat.backend",
     "verify_batch": "repro.service",
 }
 

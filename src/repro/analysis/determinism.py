@@ -26,7 +26,7 @@ initial filesystem to at most one outcome:
    deduplicated by fingerprint (one witness order kept per state), so
    the solver only ever sees genuinely different finals;
 4. each comparison is one assumption-guarded check on a shared SAT
-   backend.  The first SAT stops exploration ⇒ non-deterministic, with
+   solver.  The first SAT stops exploration ⇒ non-deterministic, with
    a decoded witness initial filesystem and two diverging orders.
    Replaying both orders on the witness localizes the race
    (:mod:`repro.analysis.localize`) with no further SAT call.
@@ -97,12 +97,6 @@ class DeterminismOptions:
     use_memoization: bool = True
     max_branches: int = 5000
     timeout_seconds: Optional[float] = None
-    #: SAT backend spec consumed by
-    #: :func:`repro.sat.backend.parse_backend_spec`: ``"cdcl"`` (the
-    #: pure-Python reference) or ``"external:auto|<name-or-path>"``
-    #: (a SAT-competition binary on PATH).  A plain string so options
-    #: stay picklable and hash into the verdict-cache key.
-    solver: str = "cdcl"
     #: Persist whole determinism and idempotence results across
     #: processes in the :mod:`repro.service.incremental` store, so
     #: re-verifying a catalog that is unchanged after pruning skips
@@ -501,7 +495,6 @@ def check_determinism(
         return DeterminismResult(True, stats)
 
     from repro.logic.terms import TermBank
-    from repro.sat.backend import parse_backend_spec
     from repro.smt.query import IncrementalQuery
     from repro.smt.state import (
         initial_constraints,
@@ -511,7 +504,6 @@ def check_determinism(
 
     bank = TermBank()
     init = initial_state(bank, domains)
-    backend = parse_backend_spec(options.solver)
 
     # Eager first-divergence racing.  Each final races against the
     # canonical base order (the first final) the moment exploration
@@ -545,7 +537,7 @@ def check_determinism(
             stats.encode_seconds += time.perf_counter() - encode_start
             continue  # symbolically identical final states
         if query is None:
-            query = IncrementalQuery(bank, backend=backend)
+            query = IncrementalQuery(bank)
             query.assert_term(initial_constraints(bank, domains))
         selector = query.add_selector(f"pair${i}", differ)
         stats.encode_seconds += time.perf_counter() - encode_start
@@ -590,8 +582,7 @@ def check_determinism(
         # erroring on the witness state: the paper's "e1;e ≡ e2;e iff
         # e1 ≡ e2" step is incomplete for error-masking resources.
         # Re-check without elimination (sound and complete, slower).
-        # dataclasses.replace carries every other option — including
-        # the solver backend — unchanged.
+        # dataclasses.replace carries every other option unchanged.
         fallback = replace(options, use_elimination=False)
         retry = check_determinism(graph, programs, fallback)
         retry.stats.elimination_fallback = True

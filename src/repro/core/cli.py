@@ -24,10 +24,6 @@ Subcommands behind one ``rehearsal`` entry point (see setup.py
   manage both on-disk caches: the verdict cache and the incremental
   store (:mod:`repro.service.incremental`); ``gc --max-bytes N``
   evicts oldest-first until each fits the budget.
-* ``rehearsal solve <file.cnf>`` — run the CDCL solver on a DIMACS
-  instance and print the SAT-competition ``s``/``v`` lines, the
-  standard way to debug the solver offline.  Exit codes follow the
-  same convention: 10 satisfiable, 20 unsatisfiable.
 * ``rehearsal fuzz [--seed N --budget S --shrink --out DIR]`` —
   differential fuzzing: random catalogs through both the symbolic
   pipeline and the concrete interleavings oracle
@@ -42,13 +38,8 @@ manifest produced a verdict, and with ``--strict`` every verdict is
 positive); 1 — a negative or missing verdict (batch: some manifest
 errored, a verdict failed under ``--strict``, or the final ``--json``
 write failed); 2 — bad invocation (unreadable manifest, no manifests
-found, invalid ``--workers``, a bad or unresolvable ``--solver``
-spec, an unknown ``--platform``, ``--json`` pointing at a directory or
-into a missing one).
-
-Solver backends (see docs/solver.md): ``--solver external:auto``
-shells out to a SAT-competition binary found on PATH instead of the
-pure-Python CDCL reference.
+found, invalid ``--workers``, an unknown ``--platform``, ``--json``
+pointing at a directory or into a missing one).
 """
 
 from __future__ import annotations
@@ -58,14 +49,11 @@ import os
 import sys
 from pathlib import Path as OsPath
 
-from typing import Optional
-
 from repro.analysis.determinism import DeterminismOptions
 from repro.core.pipeline import Rehearsal
 from repro.core.report import render_batch_report, render_report
 from repro.resources.compiler import ModelContext
 from repro.resources.package_db import PackageDatabase
-from repro.sat.backend import parse_backend_spec
 
 #: The names ``--platform`` accepts: the keys of
 #: :data:`repro.core.platforms.PLATFORMS`, spelled out so that parsing
@@ -114,14 +102,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
         help="analysis timeout in seconds (per manifest)",
     )
     parser.add_argument(
-        "--solver",
-        default="cdcl",
-        metavar="SPEC",
-        help="SAT backend: 'cdcl' (pure-Python reference, default) or "
-        "'external:auto|<name-or-path>' (a SAT-competition binary on "
-        "PATH — kissat, cadical, minisat)",
-    )
-    parser.add_argument(
         "--incremental",
         action="store_true",
         help="reuse the whole determinism and idempotence verdicts of "
@@ -138,16 +118,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _validate_solver_flags(args: argparse.Namespace) -> Optional[str]:
-    """Validate --solver before any pool or backend is constructed;
-    returns an error message or None."""
-    try:
-        parse_backend_spec(args.solver)
-    except ValueError as exc:
-        return f"--solver: {exc}"
-    return None
-
-
 def _options_from_args(args: argparse.Namespace) -> DeterminismOptions:
     # --incremental only ever turns the store ON: without the flag the
     # dataclass default applies, which honors REHEARSAL_INCREMENTAL=1.
@@ -161,7 +131,6 @@ def _options_from_args(args: argparse.Namespace) -> DeterminismOptions:
         use_commutativity=not args.no_commutativity,
         use_elimination=not args.no_elimination,
         timeout_seconds=args.timeout,
-        solver=args.solver,
         **extra,
     )
 
@@ -202,10 +171,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def run_verify(argv) -> int:
     args = build_arg_parser().parse_args(argv)
-    problem = _validate_solver_flags(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     try:
         source = OsPath(args.manifest).read_text(encoding="utf8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -315,10 +280,6 @@ def run_verify_batch(argv) -> int:
     args = build_batch_parser().parse_args(argv)
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    problem = _validate_solver_flags(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
         return 2
 
     if args.json not in (None, "-"):
@@ -493,8 +454,8 @@ def run_serve(argv) -> int:
     from repro.service.daemon import DaemonConfig, run_daemon
 
     args = build_serve_parser().parse_args(argv)
-    problem = _validate_solver_flags(args)
-    if problem is None and args.workers < 1:
+    problem = None
+    if args.workers < 1:
         problem = "--workers must be >= 1"
     if problem is None and args.port < 0:
         problem = "--port must be >= 0"
@@ -644,55 +605,6 @@ def run_cache(argv) -> int:
         return 0
 
     return 2  # unreachable: argparse requires an action
-
-
-# -- rehearsal solve ----------------------------------------------------------
-
-
-def run_solve(argv) -> int:
-    """Solve a DIMACS CNF file with the CDCL solver.
-
-    Exit codes: 10 satisfiable, 20 unsatisfiable, 2 bad invocation —
-    the SAT-competition convention, so the subcommand slots into
-    standard solver harnesses.
-    """
-    from repro.sat.dimacs import read_dimacs
-    from repro.sat.solver import Solver
-
-    parser = argparse.ArgumentParser(
-        prog="rehearsal solve",
-        description=(
-            "Decide satisfiability of a DIMACS CNF file using "
-            "Rehearsal's CDCL solver."
-        ),
-    )
-    parser.add_argument("cnf", help="path to a DIMACS .cnf file")
-    args = parser.parse_args(argv)
-
-    from repro.errors import SolverError
-
-    try:
-        with open(args.cnf, "r", encoding="utf8") as handle:
-            clauses, num_vars = read_dimacs(handle)
-    except (OSError, UnicodeDecodeError, ValueError, SolverError) as exc:
-        print(f"error: cannot read CNF {args.cnf}: {exc}", file=sys.stderr)
-        return 2
-
-    solver = Solver(num_vars)
-    for clause in clauses:
-        solver.add_clause(clause)
-    print(f"c {len(clauses)} clauses, {num_vars} vars")
-    result = solver.solve()
-    if not result.sat:
-        print("s UNSATISFIABLE")
-        return 20
-    print("s SATISFIABLE")
-    lits = [
-        (var if result.assignment.get(var, False) else -var)
-        for var in range(1, num_vars + 1)
-    ]
-    print(" ".join(["v", *(str(lit) for lit in lits), "0"]))
-    return 10
 
 
 # -- rehearsal fuzz -----------------------------------------------------------
@@ -1156,7 +1068,6 @@ COMMANDS = {
     "verify-batch": run_verify_batch,
     "serve": run_serve,
     "cache": run_cache,
-    "solve": run_solve,
     "fuzz": run_fuzz,
     "lint": run_lint,
 }

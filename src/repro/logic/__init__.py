@@ -14,8 +14,6 @@ _LAZY_EXPORTS = {
     "TermBank": "repro.logic.terms",
     "dag_size": "repro.logic.terms",
     "iter_dag": "repro.logic.terms",
-    "propagate_units": "repro.logic.simplify",
-    "substitute": "repro.logic.simplify",
     "tseitin": "repro.logic.cnf",
 }
 

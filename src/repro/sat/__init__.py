@@ -1,10 +1,9 @@
-"""SAT solving substrate: CDCL solver, DIMACS I/O, brute-force oracle,
-and the pluggable backend layer (the reference CDCL solver or an
-external SAT-competition solver — see docs/solver.md)."""
+"""SAT solving substrate: the CDCL solver and its brute-force oracle
+(see docs/solver.md)."""
 
 # Lazy (PEP 562), like repro itself: every SAT query imports
 # repro.sat.solver through this package and must not load the
-# external-solver layer it does not run.
+# brute-force oracle, which only the tests run.
 
 from importlib import import_module
 
@@ -12,19 +11,12 @@ from importlib import import_module
 #: first access, which keeps the one-shot CLI's import cost down
 #: (checked by tests/test_import_graph.py).
 _LAZY_EXPORTS = {
-    "ExternalBackend": "repro.sat.external",
     "SolveResult": "repro.sat.solver",
     "Solver": "repro.sat.solver",
-    "SolverBackend": "repro.sat.backend",
     "brute_force_solve": "repro.sat.brute",
     "check_assignment": "repro.sat.brute",
     "count_models": "repro.sat.brute",
-    "dimacs_to_string": "repro.sat.dimacs",
-    "find_external_solver": "repro.sat.external",
-    "parse_backend_spec": "repro.sat.backend",
-    "read_dimacs": "repro.sat.dimacs",
     "solve_cnf": "repro.sat.solver",
-    "write_dimacs": "repro.sat.dimacs",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

@@ -27,7 +27,8 @@ distinguished by ``assumptions``, temporary unit literals applied as
 the first decisions of the search (MiniSat's interface).  When the
 instance is unsatisfiable *under the assumptions*, final-conflict
 analysis reports the subset of assumptions in the unsat core
-(``SolveResult.core``), which callers use for fault localization.
+(``SolveResult.core``); an empty core means the clauses alone are
+unsatisfiable.
 """
 
 from __future__ import annotations
@@ -568,32 +569,6 @@ class Solver:
             propagations=self.propagations,
             restarts=self.restarts,
         )
-
-    # -- database inspection ------------------------------------------------
-
-    def root_units(self) -> List[int]:
-        """The literals fixed at decision level 0 (problem units plus
-        learned units)."""
-        limit = self._trail_lim[0] if self._trail_lim else len(self._trail)
-        return list(self._trail[:limit])
-
-    def clause_database(
-        self, include_learned: bool = False
-    ) -> List[List[int]]:
-        """A snapshot of the current clause database: root-level units
-        as unit clauses, then problem clauses (and optionally learned
-        clauses).  Together with :attr:`num_vars` this is exactly what
-        :func:`repro.sat.dimacs.write_dimacs` needs to dump the
-        instance for offline debugging."""
-        if not self._ok:
-            # Known unsatisfiable regardless of clauses: the empty
-            # clause reproduces that verdict on re-read.
-            return [[]]
-        clauses: List[List[int]] = [[lit] for lit in self.root_units()]
-        clauses.extend(list(c) for c in self._clauses)
-        if include_learned:
-            clauses.extend(list(c) for c in self._learned)
-        return clauses
 
 
 def _luby(i: int) -> int:

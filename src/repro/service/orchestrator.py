@@ -114,7 +114,6 @@ def _verify_one(job: _Job) -> dict:
         result = ManifestResult.from_report(
             report, sha256=job.sha256, cache_key=job.key
         )
-        result.solver_backend = job.options.solver
         try:
             from repro.analysis.lint import LintOptions, lint_source
 
@@ -150,7 +149,6 @@ def _verify_one(job: _Job) -> dict:
             error=f"{_INTERNAL_FAILURE} {type(exc).__name__}: {exc}",
             sha256=job.sha256,
             cache_key=job.key,
-            solver_backend=job.options.solver,
         )
     return result.to_dict()
 

@@ -20,9 +20,9 @@ from repro.core.pipeline import VerificationReport
 #: ``distinct_finals``).  Version 3: rows grew the per-manifest
 #: ``lint`` block (the static analyzer's verdict, rule counts and
 #: diagnostics — see :mod:`repro.analysis.lint`).  Version 4: rows
-#: grew ``solver_backend``, the ``--solver`` spec the verdict was
-#: computed under (``"cdcl"`` or ``"external:..."`` — see
-#: :func:`repro.sat.backend.parse_backend_spec`).  Version 5: rows
+#: grew ``solver_backend``, the SAT backend the verdict was computed
+#: under; with the CDCL solver the only backend it is the constant
+#: ``"cdcl"`` until a v6 bump drops it.  Version 5: rows
 #: grew the incremental-reuse counters (``subtree_reuse_hits``,
 #: ``cnf_cache_hits``, ``commute_cache_hits`` — see
 #: :mod:`repro.service.incremental`); all three are zero on
@@ -71,10 +71,9 @@ class ManifestResult:
     #: severity ``counts``, ``diagnostics`` and ``stats``.  ``None``
     #: when linting itself crashed (never blocks the verification row).
     lint: Optional[dict] = None
-    #: The SAT backend the verdict was computed under (schema v4):
-    #: the run's ``DeterminismOptions.solver`` spec — lets
-    #: mixed-backend result sets (and cached rows) say which solve path
-    #: produced them.
+    #: The SAT backend the verdict was computed under (schema v4).
+    #: The in-process CDCL solver is the only one, so this is the
+    #: constant ``"cdcl"``; kept so v5 rows keep their shape.
     solver_backend: str = "cdcl"
     #: Incremental-store reuse counters (schema v5): how much of this
     #: verdict was rehydrated from the persistent store

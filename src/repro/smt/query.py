@@ -13,18 +13,17 @@ Two interfaces:
   variable and only enforced when that selector is passed as an
   assumption to :meth:`IncrementalQuery.check`.  Clauses — including
   everything the CDCL solver *learns* — are retained across calls, and
-  an UNSAT answer carries the subset of the assumptions in the unsat
-  core, which the analyses use for fault localization
-  (:mod:`repro.analysis.localize`).  Terms encoded later share the
-  persistent Tseitin cache; each ``check()`` hands the solver only the
-  clauses added since the last one.
+  an UNSAT answer carries the assumption literals in the unsat core.
+  Terms encoded later share the persistent Tseitin cache; each
+  ``check()`` hands the solver only the clauses added since the last
+  one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.logic.cnf import CNF, TseitinEncoder
 from repro.logic.terms import Term, TermBank
@@ -35,10 +34,9 @@ from repro.sat.solver import Solver
 class QueryResult:
     sat: bool
     named_model: Dict[str, bool] = field(default_factory=dict)
-    #: On UNSAT under assumptions: the implicated assumption selector
-    #: names (subset of those passed to ``check``).  Empty when the
-    #: asserted formula alone is unsatisfiable.
-    core: List[str] = field(default_factory=list)
+    #: On UNSAT under assumptions: the implicated assumption literals
+    #: (subset of those passed to ``check``).  Empty when the asserted
+    #: formula alone is unsatisfiable.
     core_lits: List[int] = field(default_factory=list)
     num_vars: int = 0
     num_clauses: int = 0
@@ -48,20 +46,11 @@ class QueryResult:
 
 
 class Query:
-    """A single satisfiability question over a term bank.
+    """A single satisfiability question over a term bank, solved on a
+    fresh CDCL solver."""
 
-    ``backend`` — a zero-argument factory producing the
-    :class:`repro.sat.backend.SolverBackend` each ``check`` solves on
-    (default: a fresh reference CDCL solver).
-    """
-
-    def __init__(
-        self,
-        bank: TermBank,
-        backend: Optional[Callable[[], "Solver"]] = None,
-    ):
+    def __init__(self, bank: TermBank):
         self.bank = bank
-        self.backend = backend
         self._assertions: list[Term] = []
 
     def assert_term(self, term: Term) -> None:
@@ -78,7 +67,7 @@ class Query:
         root_lit = encoder.lit(formula)
         cnf.add([root_lit])
         start = time.perf_counter()
-        solver = self.backend() if self.backend is not None else Solver()
+        solver = Solver()
         for clause in cnf.clauses:
             solver.add_clause(clause)
         result = solver.solve()
@@ -95,26 +84,15 @@ class Query:
 
 
 class IncrementalQuery:
-    """Assumption-based incremental solving over one shared solver.
+    """Assumption-based incremental solving over one shared CDCL
+    solver: clauses and learned facts persist across ``check`` calls."""
 
-    ``backend`` — a zero-argument factory producing the
-    :class:`repro.sat.backend.SolverBackend` this query's lifetime of
-    checks runs on (default: the reference CDCL solver).  The backend
-    must be incremental: clauses and learned facts persist across
-    ``check`` calls.
-    """
-
-    def __init__(
-        self,
-        bank: TermBank,
-        backend: Optional[Callable[[], "Solver"]] = None,
-    ):
+    def __init__(self, bank: TermBank):
         self.bank = bank
         self.cnf = CNF()
         self._encoder = TseitinEncoder(self.cnf)
-        self._solver = backend() if backend is not None else Solver()
+        self._solver = Solver()
         self._flushed = 0  # cnf.clauses already handed to the solver
-        self._selectors: Dict[int, str] = {}  # var id -> name
         self.checks = 0
         self.solve_seconds = 0.0
         #: CDCL work over every ``check`` on this solver (mirrors the
@@ -125,11 +103,6 @@ class IncrementalQuery:
         #: conflicts.
         self.conflicts = 0
         self.decisions = 0
-
-    @property
-    def solver(self):
-        """The live :class:`repro.sat.backend.SolverBackend` instance."""
-        return self._solver
 
     # -- building -----------------------------------------------------------
 
@@ -145,7 +118,6 @@ class IncrementalQuery:
         ``s`` with the clause ``s → term``, so passing ``s`` as an
         assumption enforces ``term`` for that call only."""
         selector = self.cnf.new_var(name)
-        self._selectors[selector] = name
         self.cnf.add([-selector, self._encoder.lit(term)])
         return selector
 
@@ -170,17 +142,11 @@ class IncrementalQuery:
         call_decisions = result.decisions - self.decisions
         self.conflicts = result.conflicts
         self.decisions = result.decisions
-        core_names = [
-            self._selectors[lit]
-            for lit in result.core
-            if lit in self._selectors
-        ]
         return QueryResult(
             sat=result.sat,
             named_model=(
                 self.cnf.decode(result.assignment) if result.sat else {}
             ),
-            core=core_names,
             core_lits=list(result.core),
             num_vars=self.cnf.num_vars,
             num_clauses=len(self.cnf.clauses),

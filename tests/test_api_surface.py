@@ -96,17 +96,15 @@ def test_retired_solver_knobs_are_gone():
 
 def test_retired_settings_are_gone():
     """The settings no caller set (the lint prefilter, the conflict
-    budget, ``well_formed_initial``, batch/daemon package semantics and
-    the daemon drain time) were removed; none may come back as a field
-    or a parameter."""
+    budget, ``well_formed_initial``, batch/daemon package semantics,
+    the daemon drain time and the SAT backend choice) were removed;
+    none may come back as a field or a parameter."""
     import dataclasses
     import inspect
 
     from repro.analysis.determinism import DeterminismOptions
     from repro.analysis.equivalence import check_equivalence
     from repro.analysis.localize import localize_race
-    from repro.sat.backend import SolverBackend
-    from repro.sat.external import ExternalBackend
     from repro.sat.solver import Solver
     from repro.service.cache import cache_key
     from repro.service.daemon import DaemonConfig
@@ -114,9 +112,9 @@ def test_retired_settings_are_gone():
     from repro.smt.query import IncrementalQuery, Query, check_sat
 
     options = {f.name for f in dataclasses.fields(DeterminismOptions)}
-    retired = {"lint_prefilter", "max_conflicts", "well_formed_initial"}
+    retired = {"lint_prefilter", "max_conflicts", "well_formed_initial", "solver"}
     assert not options & retired
-    assert len(options) == 10
+    assert len(options) == 9
     config = {f.name for f in dataclasses.fields(DaemonConfig)}
     assert not config & {"package_semantics", "drain_seconds"}
     assert len(config) == 15
@@ -128,11 +126,38 @@ def test_retired_settings_are_gone():
         check_sat,
         Query.check,
         IncrementalQuery.check,
-        SolverBackend.solve,
-        ExternalBackend.solve,
         Solver.solve,
     ):
         assert "max_conflicts" not in inspect.signature(fn).parameters, fn
+    for cls in (Query, IncrementalQuery):
+        assert "backend" not in inspect.signature(cls).parameters, cls
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.sat.backend",
+        "repro.sat.external",
+        "repro.sat.dimacs",
+        "repro.logic.simplify",
+    ],
+)
+def test_retired_solver_modules_are_gone(module):
+    """The external-solver layer, DIMACS I/O and the unused formula
+    simplifier were deleted; the in-process CDCL solver is the one SAT
+    backend."""
+    import importlib
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+def test_backend_names_are_not_exported():
+    import repro.sat
+
+    retired = {"ExternalBackend", "SolverBackend", "parse_backend_spec"}
+    assert not retired & set(repro.__all__)
+    assert not retired & set(repro.sat.__all__)
 
 
 def test_unsat_core_localization_is_gone():
@@ -161,6 +186,19 @@ def test_lint_prefilter_flag_is_rejected(command, tmp_path, capsys):
         cli_main([command, *target, "--lint-prefilter"])
     assert exc.value.code == 2
     assert "--lint-prefilter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "verify-batch", "serve"])
+def test_solver_flag_is_rejected(command, tmp_path, capsys):
+    from repro.core.cli import main as cli_main
+
+    manifest = tmp_path / "m.pp"
+    manifest.write_text("file { '/a': content => 'x' }\n")
+    target = [] if command == "serve" else [str(manifest)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *target, "--solver", "cdcl"])
+    assert exc.value.code == 2
+    assert "--solver" in capsys.readouterr().err
 
 
 def test_prefilter_proved_is_always_false_on_the_corpus():
@@ -204,7 +242,9 @@ def test_retired_test_orchestration_is_gone():
     )
 
 
-@pytest.mark.parametrize("action", ["testmap", "burnin", "testreport"])
+@pytest.mark.parametrize(
+    "action", ["testmap", "burnin", "testreport", "solve"]
+)
 def test_retired_subcommands_fail_loudly(action, capsys):
     """The retired subcommands are not verbs any more: the CLI names
     the word as an unknown command and lists the real ones."""

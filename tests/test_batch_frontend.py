@@ -61,7 +61,6 @@ def separate_row(verifier: BatchVerifier, name: str, source: str) -> dict:
     result = ManifestResult.from_report(
         tool.verify(source, name=name), sha256=job.sha256, cache_key=job.key
     )
-    result.solver_backend = verifier.options.solver
     result.lint = lint_source(
         source,
         name=name,

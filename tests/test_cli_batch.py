@@ -166,6 +166,24 @@ class TestJsonReport:
         payload = json.loads(out[start:])
         assert payload["summary"]["manifests"] == 2
 
+    def test_batch_json_rows_name_the_backend(self, tmp_path, capsys):
+        (tmp_path / "good.pp").write_text(GOOD)
+        report_path = tmp_path / "report.json"
+        code = cli_main(
+            [
+                "verify-batch",
+                str(tmp_path / "good.pp"),
+                "--no-cache",
+                "--json",
+                str(report_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["schema_version"] == 5
+        (row,) = report["results"]
+        assert row["solver_backend"] == "cdcl"
+
 
 class TestDispatch:
     def test_explicit_verify_subcommand(self, tmp_path, capsys):

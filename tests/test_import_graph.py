@@ -51,7 +51,7 @@ SYMBOLIC = (
     "repro.logic",
     "repro.logic.terms",
     "repro.logic.cnf",
-    "repro.logic.simplify",
+    "repro.sat",
     "repro.sat.solver",
     "repro.smt",
     "repro.smt.values",

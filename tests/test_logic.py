@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic import CNF, TermBank, dag_size, propagate_units, substitute, tseitin
+from repro.logic import CNF, TermBank, dag_size, tseitin
 from repro.sat import brute_force_solve, solve_cnf
 
 
@@ -121,21 +121,6 @@ class TestEvaluate:
     def test_variables(self, bank):
         t = bank.and_(bank.var("a"), bank.or_(bank.var("b"), bank.var("a")))
         assert bank.variables(t) == {"a", "b"}
-
-
-class TestSubstitution:
-    def test_substitute(self, bank):
-        a, b = bank.var("a"), bank.var("b")
-        t = bank.and_(a, b)
-        assert substitute(bank, t, {"a": True}) is b
-        assert substitute(bank, t, {"a": False}) is bank.FALSE
-
-    def test_propagate_units(self, bank):
-        a, b, c = bank.var("a"), bank.var("b"), bank.var("c")
-        t = bank.and_(a, bank.or_(bank.not_(a), b), c)
-        out = propagate_units(bank, t)
-        assert bank.evaluate(out, {"a": True, "b": True, "c": True})
-        assert not bank.evaluate(out, {"a": True, "b": False, "c": True})
 
 
 def _random_term(bank, rng, depth, names):

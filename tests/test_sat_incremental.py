@@ -157,7 +157,7 @@ class TestIncrementalClauseAddition:
         assert solver.solve().sat
         solver.add_clause([1, 2])
         assert solver.solve().sat
-        assert len(solver.clause_database()) == 1  # just the unit
+        assert solver._clauses == []  # the unit is on the trail only
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -190,26 +190,6 @@ class TestIncrementalClauseAddition:
                 break
 
 
-class TestClauseDatabase:
-    def test_clause_database_round_trips(self):
-        solver = Solver(3)
-        solver.add_clause([1])
-        solver.add_clause([-1, 2])
-        solver.add_clause([2, 3])
-        db = solver.clause_database()
-        rebuilt = Solver()
-        for clause in db:
-            rebuilt.add_clause(clause)
-        assert rebuilt.solve().sat == solver.solve().sat
-
-    def test_root_units_include_propagated_facts(self):
-        solver = Solver(2)
-        solver.add_clause([1])
-        solver.add_clause([-1, 2])
-        solver.solve()
-        assert set(solver.root_units()) == {1, 2}
-
-
 class TestIncrementalQuery:
     def test_selectors_isolate_guarded_terms(self):
         bank = TermBank()
@@ -222,9 +202,9 @@ class TestIncrementalQuery:
         assert query.check(assumptions=[s_neg]).sat
         result = query.check(assumptions=[s_pos, s_neg])
         assert not result.sat
-        assert set(result.core) == {"pos", "neg"}
+        assert set(result.core_lits) == {s_pos, s_neg}
 
-    def test_core_reported_by_selector_name(self):
+    def test_core_reports_every_implicated_selector(self):
         bank = TermBank()
         query = IncrementalQuery(bank)
         a, b, c = bank.var("a"), bank.var("b"), bank.var("c")
@@ -234,7 +214,7 @@ class TestIncrementalQuery:
         s3 = query.add_selector("kill-c", bank.not_(c))
         result = query.check(assumptions=[s1, s2, s3])
         assert not result.sat
-        assert set(result.core) == {"kill-a", "kill-b", "kill-c"}
+        assert set(result.core_lits) == {s1, s2, s3}
 
     def test_guarded_false_term_unsat_with_core(self):
         # The guard s → false is the unit ¬s; the solver must see it so
@@ -245,7 +225,7 @@ class TestIncrementalQuery:
         s = query.add_selector("impossible", bank.FALSE)
         result = query.check(assumptions=[s])
         assert not result.sat
-        assert result.core == ["impossible"]
+        assert result.core_lits == [s]
         assert query.check().sat
 
     def test_selectors_added_after_first_check(self):
@@ -257,7 +237,7 @@ class TestIncrementalQuery:
         s = query.add_selector("later", bank.and_(bank.not_(x), bank.not_(y)))
         result = query.check(assumptions=[s])
         assert not result.sat
-        assert result.core == ["later"]
+        assert result.core_lits == [s]
         assert query.check().sat
 
     def test_named_model_respects_assumptions(self):
@@ -270,17 +250,18 @@ class TestIncrementalQuery:
         assert result.sat
         assert result.named_model["x"] is True
 
-    def test_each_clause_reaches_the_solver_exactly_once(self):
+    def test_each_clause_reaches_the_solver_exactly_once(self, monkeypatch):
         handed = []
+        add_clause = Solver.add_clause
 
-        class RecordingSolver(Solver):
-            def add_clause(self, lits):
-                handed.append(tuple(lits))
-                super().add_clause(lits)
+        def recording(self, lits):
+            handed.append(tuple(lits))
+            add_clause(self, lits)
 
+        monkeypatch.setattr(Solver, "add_clause", recording)
         bank = TermBank()
         x, y, z = bank.var("x"), bank.var("y"), bank.var("z")
-        query = IncrementalQuery(bank, backend=RecordingSolver)
+        query = IncrementalQuery(bank)
         query.assert_term(bank.or_(x, y))
         assert query.check().sat
         s = query.add_selector("no-x", bank.not_(x))
@@ -305,4 +286,4 @@ class TestIncrementalQuery:
         s = query.add_selector("last-false", bank.not_(xs[-1]))
         result = query.check(assumptions=[s])
         assert not result.sat
-        assert result.core == ["last-false"]
+        assert result.core_lits == [s]

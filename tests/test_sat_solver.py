@@ -138,6 +138,57 @@ def _random_cnf(rng: random.Random, num_vars: int, num_clauses: int):
     return clauses
 
 
+def three_sat(seed, num_vars=90, num_clauses=383):
+    """A uniform random 3-SAT instance near the phase transition: big
+    enough to restart, small enough to solve in milliseconds."""
+    rng = random.Random(seed)
+    return [
+        [rng.choice([-1, 1]) * v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(num_clauses)
+    ]
+
+
+#: Per seed: (sat, conflicts, decisions, propagations, restarts,
+#: model as a bitmask of true variables) of the reference solver on
+#: ``three_sat(seed)``, recorded before the configuration knobs
+#: (restart policy, seed jitter, phase and decay) became constants.
+REFERENCE_RUNS = {
+    0: (False, 271, 332, 6030, 3, None),
+    1: (True, 60, 92, 1434, 0, 1761621203014311710624601944),
+    2: (True, 118, 152, 2895, 1, 304897878024513517189911002),
+    3: (True, 31, 48, 776, 0, 1413922195021030927336949632),
+    4: (True, 283, 370, 6885, 3, 2334268368412116949659956686),
+    5: (False, 380, 464, 7957, 4, None),
+}
+
+
+class TestConfiguredSolver:
+    """The solver's one configuration (Luby restarts with unit 64,
+    activity ties broken by variable index, saved phases defaulting to
+    False, EVSIDS decay 0.95) is byte-identical to the historical
+    reference: same answers, same model, same effort counters."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_default_config_is_bit_identical(self, seed):
+        solver = Solver()
+        for clause in three_sat(seed):
+            solver.add_clause(clause)
+        result = solver.solve()
+        model = (
+            sum(1 << v for v, value in result.assignment.items() if value)
+            if result.sat
+            else None
+        )
+        assert (
+            result.sat,
+            solver.conflicts,
+            solver.decisions,
+            solver.propagations,
+            solver.restarts,
+            model,
+        ) == REFERENCE_RUNS[seed]
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_instances_match_oracle(self, seed):
