@@ -22,6 +22,8 @@ from repro.fs import (
     rm,
     seq,
     ERR,
+    FALSE,
+    TRUE,
     ID,
 )
 
@@ -176,3 +178,28 @@ class TestEmptyDirSubtlety:
         assert eval_expr(e2, witness) == witness
         boring = fs({"/a": None})
         assert eval_expr(e1, boring) == eval_expr(e2, boring)
+
+
+class TestRootAndConstants:
+    """The root directory always exists and can be neither created
+    nor removed; the constant predicates ignore the state."""
+
+    def test_mkdir_root_is_error(self):
+        assert eval_expr(mkdir("/"), fs()) is ERROR
+
+    def test_creat_root_is_error(self):
+        assert eval_expr(creat("/", "x"), fs()) is ERROR
+
+    def test_rm_root_is_error_even_when_empty(self):
+        assert eval_pred(emptydir_(Path.of("/")), fs())
+        assert eval_expr(rm("/"), fs()) is ERROR
+
+    def test_parent_must_be_a_directory_not_a_file(self):
+        state = fs({"/a": "x"})
+        assert eval_expr(creat("/a/f", "y"), state) is ERROR
+        assert eval_expr(mkdir("/a/d"), state) is ERROR
+
+    def test_constant_predicates(self):
+        for state in (fs(), fs({"/a": None, "/a/f": "x"})):
+            assert eval_pred(TRUE, state) is True
+            assert eval_pred(FALSE, state) is False

@@ -1,6 +1,6 @@
 """Tests for the execution tracer."""
 
-from repro.fs import FileSystem, Path, creat, ite, mkdir, none_, rm, seq
+from repro.fs import ERR, FileSystem, Path, cp, creat, ite, mkdir, none_, rm, seq
 from repro.fs.trace import explain_order, trace_expr
 
 
@@ -78,3 +78,30 @@ class TestExplainOrder:
             FileSystem.empty(),
         )
         assert "all resources applied successfully" in good
+
+
+class TestFailureReasons:
+    def test_err_is_a_failed_step(self):
+        trace = trace_expr(seq(mkdir("/a"), ERR, mkdir("/b")), FileSystem.empty())
+        assert not trace.ok
+        assert [(s.description, s.ok) for s in trace.steps][-1] == ("err", False)
+        assert trace.final is None
+
+    def test_creat_over_existing_path(self):
+        state = FileSystem.from_dict({"/f": "old"})
+        trace = trace_expr(creat("/f", "new"), state)
+        assert trace.steps[0].detail == "/f already exists"
+
+    def test_cp_from_missing_source(self):
+        trace = trace_expr(cp("/src", "/dst"), FileSystem.empty())
+        assert trace.steps[0].detail == "source /src is not a file"
+
+    def test_cp_onto_existing_destination(self):
+        state = FileSystem.from_dict({"/src": "x", "/dst": None})
+        trace = trace_expr(cp("/src", "/dst"), state)
+        assert trace.steps[0].detail == "destination /dst already exists"
+
+    def test_cp_into_missing_directory(self):
+        state = FileSystem.from_dict({"/src": "x"})
+        trace = trace_expr(cp("/src", "/d/dst"), state)
+        assert trace.steps[0].detail == "destination parent /d is not a directory"

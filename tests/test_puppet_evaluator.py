@@ -514,3 +514,183 @@ class TestEndToEnd:
         assert set(graph.nodes) == set(programs)
         assert graph.has_edge("Package['ntp']", "File['/etc/ntp.conf']")
         assert not find_cycle(graph)
+
+
+def notices(source):
+    """The ``notice`` lines a manifest emits, in order."""
+    from repro.puppet import Evaluator, parse_manifest
+
+    ev = Evaluator()
+    ev.evaluate(parse_manifest(source))
+    return [m.removeprefix("notice: ") for m in ev.messages]
+
+
+class TestExpressionSemantics:
+    def test_case_falls_back_to_default(self):
+        catalog = evaluate_manifest(
+            """
+            case $operatingsystem {
+              'Gentoo': { $web = 'www-servers/apache' }
+              default: { $web = 'httpd' }
+              'Arch': { $web = 'apache' }
+            }
+            package{$web: }
+            """
+        )
+        assert catalog.has("package", "httpd")
+
+    def test_case_without_match_or_default_runs_nothing(self):
+        catalog = evaluate_manifest(
+            """
+            case 'plan9' { 'Ubuntu': { package{'apache2': } } }
+            package{'vim': }
+            """
+        )
+        assert [str(e.ref) for e in catalog.primitive_resources()] == [
+            "Package['vim']"
+        ]
+
+    def test_selector_default_may_come_first(self):
+        assert notices(
+            "notice('Gentoo' ? { default => 'httpd', 'Debian' => 'apache2' })"
+        ) == ["httpd"]
+
+    def test_selector_without_match_or_default_is_an_error(self):
+        with pytest.raises(PuppetEvalError, match="no default"):
+            evaluate_manifest("$x = 'b' ? { 'a' => 1 }")
+
+    def test_boolean_connectives_follow_puppet3_truthiness(self):
+        assert notices(
+            """
+            notice('' or 'x')
+            notice('x' and '')
+            notice(undef or false)
+            notice('a' and 'b')
+            """
+        ) == ["true", "false", "false", "true"]
+
+    def test_inequality(self):
+        assert notices("notice('a' != 'A')\nnotice('a' != 'b')") == [
+            "false",
+            "true",
+        ]
+
+    def test_in_searches_strings_arrays_and_hash_keys(self):
+        assert notices(
+            """
+            notice('NTP' in 'the ntp daemon')
+            notice('b' in ['a', 'b'])
+            notice('k' in {'k' => 1})
+            notice('v' in {'k' => 'v'})
+            """
+        ) == ["true", "true", "true", "false"]
+
+    def test_in_rejects_a_number(self):
+        with pytest.raises(PuppetEvalError, match="'in' needs"):
+            evaluate_manifest("$x = 'a' in 3")
+
+    def test_arithmetic(self):
+        assert notices(
+            "notice(7 - 10)\nnotice('6' * 7)\nnotice(7 % 3)\nnotice(9 / 3)"
+        ) == ["-3", "42", "1", "3"]
+
+    def test_modulo_by_zero_is_an_error(self):
+        with pytest.raises(PuppetEvalError, match="modulo by zero"):
+            evaluate_manifest("$x = 5 % 0")
+
+    def test_boolean_is_not_a_number(self):
+        with pytest.raises(PuppetEvalError, match="boolean as a number"):
+            evaluate_manifest("$x = true + 1")
+
+    def test_non_numeric_string_is_not_a_number(self):
+        with pytest.raises(PuppetEvalError, match="not a number: 'ten'"):
+            evaluate_manifest("$x = 'ten' < 11")
+
+    def test_array_is_not_a_number(self):
+        with pytest.raises(PuppetEvalError, match="not a number"):
+            evaluate_manifest("$x = -[1]")
+
+
+class TestFunctions:
+    def test_split_join_and_size(self):
+        assert notices(
+            """
+            $parts = split('a:b:c', ':')
+            notice(join($parts, ','))
+            notice(size($parts))
+            notice(length('four'))
+            """
+        ) == ["a,b,c", "3", "4"]
+
+    def test_join_needs_an_array(self):
+        with pytest.raises(PuppetEvalError, match="join\\(\\) expects an array"):
+            evaluate_manifest("$x = join('abc', ',')")
+
+    def test_size_needs_a_collection(self):
+        with pytest.raises(PuppetEvalError, match="size\\(\\) expects a collection"):
+            evaluate_manifest("$x = size(3)")
+
+    def test_wrong_arity(self):
+        with pytest.raises(PuppetEvalError, match="expects 2 arguments, got 1"):
+            evaluate_manifest("$x = split('a:b')")
+
+    def test_templates_are_refused(self):
+        with pytest.raises(PuppetEvalError, match="embedded Ruby"):
+            evaluate_manifest("file{'/f': content => template('m/f.erb') }")
+
+    def test_unknown_function(self):
+        with pytest.raises(PuppetEvalError, match="unknown function 'sha1'"):
+            evaluate_manifest("$x = sha1('a')")
+
+    def test_defined_by_name_sees_classes_and_defines(self):
+        assert notices(
+            """
+            class web { }
+            define site() { }
+            notice(defined('web'))
+            notice(defined('site'))
+            notice(defined('db'))
+            """
+        ) == ["true", "true", "false"]
+
+    def test_defined_class_reference_means_included(self):
+        assert notices(
+            """
+            class web { }
+            notice(defined(Class['web']))
+            include web
+            notice(defined(Class['web']))
+            """
+        ) == ["false", "true"]
+
+    def test_realize_rejects_a_string(self):
+        with pytest.raises(PuppetEvalError, match="realize expects resource"):
+            evaluate_manifest("realize('vim')")
+
+
+class TestDeclarationErrors:
+    def test_duplicate_define(self):
+        with pytest.raises(PuppetEvalError, match="duplicate definition: define"):
+            evaluate_manifest("define site() { }\ndefine site() { }")
+
+    def test_duplicate_class(self):
+        with pytest.raises(PuppetEvalError, match="duplicate definition: class"):
+            evaluate_manifest("class web { }\nclass web { }")
+
+    def test_parameterized_class_declared_twice(self):
+        with pytest.raises(PuppetEvalError, match="with parameters"):
+            evaluate_manifest(
+                """
+                class web($port = 80) { }
+                include web
+                class {'web': port => 8080 }
+                """
+            )
+
+    def test_override_of_undeclared_resource(self):
+        with pytest.raises(PuppetEvalError, match="override of undeclared"):
+            evaluate_manifest("File['/f'] { content => 'x' }")
+
+    def test_realize_of_undeclared_resource(self):
+        with pytest.raises(PuppetEvalError, match="realize of undeclared"):
+            evaluate_manifest("realize(Package['vim'])")

@@ -307,3 +307,97 @@ class TestParserErrors:
         with pytest.raises(PuppetSyntaxError) as exc:
             parse_manifest("file{'/a' content }")
         assert exc.value.line >= 1
+
+
+class TestLexerEdges:
+    def test_match_operators(self):
+        assert kinds("$a =~ $b !~ $c") == [
+            T.VARIABLE,
+            T.MATCH,
+            T.VARIABLE,
+            T.NOMATCH,
+            T.VARIABLE,
+        ]
+
+    def test_block_comment_is_trivia(self):
+        assert kinds("/* a\n * b */ package") == [T.NAME]
+
+    def test_unterminated_block_comment(self):
+        with pytest.raises(PuppetSyntaxError, match="unterminated block comment"):
+            tokenize("package /* never closed")
+
+    def test_unterminated_string(self):
+        with pytest.raises(PuppetSyntaxError, match="unterminated string"):
+            tokenize('$x = "no end')
+
+    def test_empty_variable_name(self):
+        with pytest.raises(PuppetSyntaxError, match="empty variable name"):
+            tokenize("$ = 1")
+
+    def test_unexpected_character_reports_its_line(self):
+        with pytest.raises(PuppetSyntaxError, match="unexpected character '`'") as exc:
+            tokenize("package{'vim': }\n`")
+        assert exc.value.line == 2
+
+
+class TestParserMoreForms:
+    def test_default_is_a_value(self):
+        m = parse_manifest("$x = default")
+        assert m.statements[0].value == ast.Literal("default")
+
+    def test_reference_with_several_titles(self):
+        m = parse_manifest("$x = Package['a', 'b']")
+        assert m.statements[0].value == ast.ResourceRefExpr(
+            "Package", (ast.Literal("a"), ast.Literal("b"))
+        )
+
+    def test_chain_operand_with_several_titles(self):
+        m = parse_manifest("Package['a', 'b'] -> File['/f']")
+        assert len(m.statements[0].operands[0].titles) == 2
+
+    def test_collector_parenthesized_query(self):
+        m = parse_manifest(
+            "User <| (title == 'a' or title == 'b') and shell != 'sh' |>"
+        )
+        query = m.statements[0].query
+        assert query.op == "and"
+        assert query.left.op == "or"
+        assert (query.right.op, query.right.attr) == ("!=", "shell")
+
+    def test_node_list_with_default(self):
+        m = parse_manifest("node 'web1', default { }")
+        assert m.statements[0].names == ("web1", "default")
+
+
+class TestParserMoreErrors:
+    def test_unexpected_end_inside_block(self):
+        with pytest.raises(PuppetSyntaxError, match="unexpected end of input"):
+            parse_manifest("class web { package{'vim': }")
+
+    def test_stray_bareword(self):
+        with pytest.raises(PuppetSyntaxError, match="unexpected bareword 'ensure'"):
+            parse_manifest("ensure")
+
+    def test_stray_token(self):
+        with pytest.raises(PuppetSyntaxError, match="unexpected token"):
+            parse_manifest("=> 'x'")
+
+    def test_node_without_name(self):
+        with pytest.raises(PuppetSyntaxError, match="expected node name"):
+            parse_manifest("node { }")
+
+    def test_include_without_class(self):
+        with pytest.raises(PuppetSyntaxError, match="expected class name"):
+            parse_manifest("include 3")
+
+    def test_chain_operand_needs_title_or_collector(self):
+        with pytest.raises(PuppetSyntaxError, match="after type reference"):
+            parse_manifest("Package['a'] -> Service")
+
+    def test_collector_needs_attribute_name(self):
+        with pytest.raises(PuppetSyntaxError, match="expected attribute name"):
+            parse_manifest("User <| 'carol' == title |>")
+
+    def test_collector_needs_equality_operator(self):
+        with pytest.raises(PuppetSyntaxError, match="expected == or !="):
+            parse_manifest("User <| uid > 100 |>")

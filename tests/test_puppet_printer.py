@@ -226,3 +226,29 @@ class TestRoundTrip:
         first = parse_manifest(source)
         second = parse_manifest(print_manifest(first))
         assert first == second
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "File['/f'] { content => 'x', mode => '0644' }",
+            "node 'web1', 'web2' { package{'nginx': } }\nnode default { }",
+            "notice(join(['a', 'b'], ','))\n$n = size($list)",
+            "$h = { 'a' => 1, 'b' => [2, 3] }",
+            "if $a { $x = 1 } elsif $b { $x = 2 } elsif $c { $x = 3 } else { $x = 4 }",
+            "User <| (title == 'a' or title == 'b') and shell != 'sh' |>",
+            "Package['x'] -> File <| tag == 'conf' |> ~> Service['s']",
+        ],
+        ids=[
+            "override",
+            "nodes",
+            "function-calls",
+            "hash",
+            "elsif",
+            "nested-collector-query",
+            "chain-through-collector",
+        ],
+    )
+    def test_form_roundtrips(self, source):
+        first = parse_manifest(source)
+        second = parse_manifest(print_manifest(first))
+        assert first == second

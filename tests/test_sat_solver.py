@@ -59,6 +59,28 @@ class TestBasics:
         with pytest.raises(SolverError):
             solver.add_clause([0])
 
+    def test_zero_assumption_rejected(self):
+        from repro.errors import SolverError
+
+        solver = Solver()
+        solver.add_clause([1, 2])
+        with pytest.raises(SolverError):
+            solver.solve(assumptions=[0])
+
+    def test_result_truthiness_is_the_verdict(self):
+        assert solve_cnf([[1]])
+        assert not solve_cnf([[1], [-1]])
+
+    def test_forced_units_hold_in_model(self):
+        result = solve_cnf([[1], [-1, 2], [-2, -3]])
+        assert result.assignment == {1: True, 2: True, 3: False}
+
+    def test_variables_in_no_clause_stay_unassigned(self):
+        # Variables 2..5 are declared but occur in no clause: any value
+        # satisfies, so the model leaves them out.
+        result = solve_cnf([[1]], 5)
+        assert result.assignment == {1: True}
+
 
 class TestStructured:
     def test_pigeonhole_3_into_2_unsat(self):
@@ -213,6 +235,76 @@ class TestAgainstBruteForce:
         assert result.sat == (expected is not None)
         if result.sat:
             assert check_assignment(clauses, result.assignment)
+
+
+class TestNearThresholdAgainstBruteForce:
+    """Uniform 3-SAT on 8 variables with 30-50 clauses sits near the
+    satisfiability threshold, where both answers are common: verdict
+    and full model agree with the exhaustive oracle."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_instance_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        num_vars = 8
+        clauses = [
+            [
+                rng.choice([-1, 1]) * var
+                for var in rng.sample(range(1, num_vars + 1), 3)
+            ]
+            for _ in range(rng.randint(30, 50))
+        ]
+        oracle = brute_force_solve(clauses, num_vars)
+        result = solve_cnf(clauses, num_vars)
+        assert result.sat == (oracle is not None)
+        if result.sat:
+            occurring = {abs(lit) for clause in clauses for lit in clause}
+            assert occurring <= set(result.assignment)
+            assert check_assignment(clauses, result.assignment)
+
+
+class ReductionCountingSolver(Solver):
+    reductions = 0
+
+    def _reduce_learned(self) -> None:
+        super()._reduce_learned()
+        self.reductions += 1
+
+
+class NoReductionSolver(Solver):
+    def _reduce_learned(self) -> None:
+        pass
+
+
+def _solved(solver_cls, clauses):
+    solver = solver_cls()
+    for clause in clauses:
+        solver.add_clause(clause)
+    return solver, solver.solve()
+
+
+class TestLearnedClauseReduction:
+    """Past 1000 learned clauses the solver drops the longer half.
+    These 120-variable instances at ratio 4.26 learn enough to reduce
+    once: seeds 1 and 11 are UNSAT, seed 10 is SAT."""
+
+    @pytest.mark.parametrize("seed", [1, 10, 11])
+    def test_reduction_keeps_the_verdict(self, seed):
+        clauses = three_sat(seed, num_vars=120, num_clauses=511)
+        solver, result = _solved(ReductionCountingSolver, clauses)
+        _, unreduced = _solved(NoReductionSolver, clauses)
+        assert solver.reductions >= 1
+        assert result.sat == unreduced.sat
+        if result.sat:
+            assert check_assignment(clauses, result.assignment)
+
+    def test_dropped_clauses_leave_the_watch_lists(self):
+        solver, _ = _solved(
+            ReductionCountingSolver, three_sat(1, num_vars=120, num_clauses=511)
+        )
+        assert solver.reductions >= 1
+        live = {id(c) for c in solver._clauses + solver._learned}
+        watched = {id(c) for cs in solver._watches.values() for c in cs}
+        assert watched <= live
 
 
 class TestOracleHelpers:
