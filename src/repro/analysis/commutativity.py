@@ -30,7 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Set
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Mapping,
+    Optional,
+    Set,
+)
 
 from repro.digraph import DiGraph, ancestors
 from repro.fs import syntax as fx
@@ -228,6 +236,18 @@ def footprint(e: fx.Expr) -> Footprint:
         # nothing relies on that, so keep the finite, empty answer.
         ensured=ensured or frozenset(),
     )
+
+
+def footprints_of(
+    nodes: Iterable[Hashable],
+    programs: Mapping[Hashable, fx.Expr],
+    known: Mapping[Hashable, Footprint],
+) -> Dict[Hashable, Footprint]:
+    """Each node's footprint: ``known``'s, else computed from its
+    program — for callers handed the frontend's footprints."""
+    return {
+        n: known[n] if n in known else footprint(programs[n]) for n in nodes
+    }
 
 
 def footprints_commute(f1: Footprint, f2: Footprint) -> bool:

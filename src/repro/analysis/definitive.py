@@ -175,11 +175,14 @@ def _write(
 
 
 def _merge(a: _AbsState, b: _AbsState) -> _AbsState:
+    # Paths in first-write order, ``a``'s first: the profile's order is
+    # the pruning pass's candidate order, so it must not depend on the
+    # hash seed.
     values: Dict[Path, AbsVal] = {}
-    for p in set(a.values) | set(b.values):
+    for p in {**a.values, **b.values}:
         values[p] = _join(a.values.get(p, BOT), b.values.get(p, BOT))
     conditions: Dict[Path, FrozenSet[Path]] = {}
-    for p in set(a.conditions) | set(b.conditions):
+    for p in {**a.conditions, **b.conditions}:
         conditions[p] = a.conditions.get(p, frozenset()) | b.conditions.get(
             p, frozenset()
         )

@@ -47,6 +47,7 @@ from typing import (
     Dict,
     Hashable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -55,7 +56,7 @@ from typing import (
 from repro.analysis.commutativity import (
     Footprint,
     conflict_matrix,
-    footprint,
+    footprints_of,
 )
 from repro.analysis.elimination import eliminate_resources
 from repro.digraph import DiGraph, descendants, topological_sort
@@ -228,15 +229,16 @@ class _Explorer:
         programs: Dict[NodeId, fx.Expr],
         options: DeterminismOptions,
         deadline: Optional[float],
+        prints: Mapping[NodeId, Footprint],
     ):
         self.graph = graph
         self.programs = programs
         self.options = options
         self.deadline = deadline
         nodes = list(graph.nodes)
-        self.prints: Dict[NodeId, Footprint] = {
-            n: footprint(programs[n]) for n in nodes
-        }
+        self.prints: Dict[NodeId, Footprint] = footprints_of(
+            nodes, programs, prints
+        )
         self.conflicts = conflict_matrix(graph, self.prints)
         self.descendants: Dict[NodeId, frozenset] = {
             n: frozenset(descendants(graph, n)) for n in nodes
@@ -383,11 +385,18 @@ def check_determinism(
     programs: Dict[NodeId, fx.Expr],
     options: Optional[DeterminismOptions] = None,
     incremental_store=None,
+    footprints: Optional[Mapping[NodeId, Footprint]] = None,
 ) -> DeterminismResult:
     """Decide determinism of a resource graph (Theorem 1).
 
     ``graph`` edges point prerequisite → dependent; ``programs`` maps
     node ids to compiled FS programs.
+
+    ``footprints`` — node → footprint of its program in ``programs``,
+    as the frontend computed them; nodes it lacks (the snapshot
+    prelude) are computed here.  Each program's footprint is then
+    computed once per check: elimination, pruning, the elimination
+    fallback and race localization share them.
 
     ``incremental_store`` — an already-open
     :class:`repro.service.incremental.IncrementalStore` handle to
@@ -405,11 +414,16 @@ def check_determinism(
         else None
     )
 
+    prints = footprints_of(graph.nodes, programs, footprints or {})
     work_graph = graph
     work_programs = dict(programs)
+    #: Footprints of ``work_programs``, kept in step with it.
+    work_prints = dict(prints)
 
     if options.use_elimination:
-        work_graph, elim = eliminate_resources(work_graph, work_programs)
+        work_graph, elim = eliminate_resources(
+            work_graph, work_programs, prints
+        )
     stats.resources_after_elimination = work_graph.number_of_nodes()
 
     node_list = list(work_graph.nodes)
@@ -417,7 +431,9 @@ def check_determinism(
     if options.use_pruning and node_list:
         from repro.analysis.pruning import prune_manifest
 
-        pruned_exprs, prune_report = prune_manifest(exprs)
+        pruned_exprs, prune_report = prune_manifest(
+            exprs, [prints[n] for n in node_list]
+        )
         stats.paths_before_pruning = prune_report.stateful_before
         stats.paths_after_pruning = prune_report.stateful_after
         stats.contended_paths = sum(
@@ -425,12 +441,13 @@ def check_determinism(
             for writers in prune_report.writers_by_path.values()
             if len(writers) > 1
         )
-        for n, e in zip(node_list, pruned_exprs):
+        for n, e, fp in zip(node_list, pruned_exprs, prune_report.footprints):
             work_programs[n] = e
+            work_prints[n] = fp
     else:
         writer_counts: Dict[object, int] = {}
-        for e in exprs:
-            fp = footprint(e)
+        for n in node_list:
+            fp = prints[n]
             for p in fp.writes | fp.dir_ensures:
                 writer_counts[p] = writer_counts.get(p, 0) + 1
         stats.paths_before_pruning = len(writer_counts)
@@ -443,7 +460,10 @@ def check_determinism(
         from repro.fs.rewrite import simplify
 
         for n in list(work_graph.nodes):
-            work_programs[n] = simplify(work_programs[n])
+            simplified = simplify(work_programs[n])
+            if simplified is not work_programs[n]:
+                work_programs[n] = simplified
+                del work_prints[n]
 
     if work_graph.number_of_nodes() <= 1:
         stats.total_seconds = time.perf_counter() - start
@@ -481,7 +501,9 @@ def check_determinism(
         if served is not None:
             served.stats.subtree_reuse_hits += 1
             return served
-    explorer = _Explorer(work_graph, work_programs, options, deadline)
+    explorer = _Explorer(
+        work_graph, work_programs, options, deadline, work_prints
+    )
     explore_start = time.perf_counter()
     if explorer.single_order():
         # One schedulable resource at every step: a single order and a
@@ -584,7 +606,7 @@ def check_determinism(
         # Re-check without elimination (sound and complete, slower).
         # dataclasses.replace carries every other option unchanged.
         fallback = replace(options, use_elimination=False)
-        retry = check_determinism(graph, programs, fallback)
+        retry = check_determinism(graph, programs, fallback, footprints=prints)
         retry.stats.elimination_fallback = True
         retry.stats.total_seconds += stats.total_seconds
         return retry
@@ -607,6 +629,7 @@ def check_determinism(
         outcomes=outcome_pair,
         descendants=explorer.descendants,
         witness=witness if orders is not None else None,
+        prints=prints,
     )
     nondet = DeterminismResult(
         False,

@@ -15,9 +15,13 @@ child often unlocks its parents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from repro.analysis.commutativity import Footprint, footprint, footprints_commute
+from repro.analysis.commutativity import (
+    Footprint,
+    footprints_commute,
+    footprints_of,
+)
 from repro.digraph import DiGraph, ancestors
 from repro.fs import syntax as fx
 
@@ -34,17 +38,17 @@ class EliminationReport:
 def eliminate_resources(
     graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
+    prints: Optional[Mapping[NodeId, Footprint]] = None,
 ) -> Tuple[DiGraph, EliminationReport]:
     """Drop verdict-irrelevant resources.
 
     ``graph`` edges point prerequisite → dependent.  Returns a new
     graph (``programs`` is not modified; dropped nodes simply no longer
-    appear in the graph).
+    appear in the graph).  ``prints`` — the programs' footprints, when
+    the caller already has them.
     """
     work = graph.copy()
-    prints: Dict[NodeId, Footprint] = {
-        n: footprint(programs[n]) for n in work.nodes
-    }
+    prints = footprints_of(work.nodes, programs, prints or {})
     report = EliminationReport(nodes_before=work.number_of_nodes())
 
     changed = True

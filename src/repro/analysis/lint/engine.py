@@ -128,6 +128,8 @@ class LintContext:
     programs: Dict[object, fx.Expr] = field(default_factory=dict)
     #: node -> compile-error message for resources without a program.
     failed: Dict[object, str] = field(default_factory=dict)
+    #: node -> footprint of its program: the frontend's, when lint
+    #: runs on one, else computed on first use.
     _footprints: Optional[Dict[object, Footprint]] = None
     #: (node, state) -> result of running the node's program on that
     #: state; lives as long as this context, i.e. one lint call.
@@ -234,6 +236,7 @@ def lint_source(
     if frontend is not None:
         ctx.graph = frontend.graph
         ctx.programs.update(frontend.programs)
+        ctx._footprints = frontend.footprints
         _graph_stage(ctx)
     report.stats.seconds = time.perf_counter() - start
     return report

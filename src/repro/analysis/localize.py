@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.commutativity import Footprint, footprint
+from repro.analysis.commutativity import Footprint, footprints_of
 from repro.digraph import DiGraph, has_path
 from repro.fs import FileSystem, syntax as fx
 from repro.fs.paths import Path
@@ -78,6 +78,7 @@ def localize_race(
     outcomes: Optional[Tuple[Result, Result]] = None,
     descendants: Optional[Mapping[NodeId, frozenset]] = None,
     witness: Optional[FileSystem] = None,
+    prints: Optional[Mapping[NodeId, Footprint]] = None,
 ) -> Optional[RaceReport]:
     """Name the racing resource pair and contended path between two
     diverging explored orders; see the module docstring.
@@ -102,6 +103,9 @@ def localize_race(
     — the static footprint ranking alone can name a pair that merely
     shares an idempotently-ensured directory while the true race runs
     through a parent directory one resource creates for the other.
+
+    ``prints`` — footprints of ``programs`` the caller already has;
+    missing ones are computed.
 
     Returns None when no swapped, unordered pair exists (e.g. a
     single-resource divergence after elimination).
@@ -128,6 +132,7 @@ def localize_race(
         programs,
         descendants=descendants,
         witness=witness,
+        prints=prints,
     )
     if pair is None:
         return None
@@ -149,6 +154,7 @@ def _pick_pair(
     programs: Dict[NodeId, fx.Expr],
     descendants: Optional[Mapping[NodeId, frozenset]] = None,
     witness: Optional[FileSystem] = None,
+    prints: Optional[Mapping[NodeId, Footprint]] = None,
 ) -> Optional[Tuple[NodeId, NodeId, Optional[Path]]]:
     """The racing pair: two resources that swap relative order between
     the two diverging linearizations, are unordered in the dependency
@@ -157,9 +163,9 @@ def _pick_pair(
     witness when one is available."""
     position = {n: i for i, n in enumerate(base_order)}
     other_position = {n: i for i, n in enumerate(other_order)}
-    prints: Dict[NodeId, Footprint] = {
-        n: footprint(programs[n]) for n in position if n in programs
-    }
+    prints = footprints_of(
+        [n for n in position if n in programs], programs, prints or {}
+    )
     core_set = set(core_paths)
 
     def ordered(a: NodeId, b: NodeId) -> bool:

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
 
+from repro.analysis.commutativity import Footprint, footprint
 from repro.analysis.determinism import (
     DeterminismOptions,
     DeterminismResult,
@@ -34,12 +35,15 @@ if TYPE_CHECKING:
 
 class Frontend(NamedTuple):
     """What the frontend builds from one manifest before any analysis:
-    the catalog, the resource graph (Fig. 4) and each node's FS
-    program."""
+    the catalog, the resource graph (Fig. 4), each node's FS program
+    and that program's footprint (§4.3).  Elimination, pruning, race
+    localization and lint all read ``footprints``, so each compiled
+    program's footprint is computed once per verify."""
 
     catalog: "Catalog"
     graph: DiGraph
     programs: Dict[str, Expr]
+    footprints: Dict[str, Footprint]
 
 
 def build_frontend(
@@ -75,7 +79,8 @@ def build_frontend(
             if on_model_error is None:
                 raise
             on_model_error(node, resource, exc)
-    return Frontend(catalog, graph, programs)
+    footprints = {node: footprint(e) for node, e in programs.items()}
+    return Frontend(catalog, graph, programs, footprints)
 
 
 @dataclass
@@ -201,8 +206,11 @@ class Rehearsal:
             graph.add_edge(node, SNAPSHOT_EPILOGUE_NODE)
 
     def check_determinism(self, source: str) -> DeterminismResult:
-        graph, programs = self.compile(source)
-        return check_determinism(graph, programs, self.options)
+        front = self.frontend(source)
+        graph, programs = self.with_prelude(front)
+        return check_determinism(
+            graph, programs, self.options, footprints=front.footprints
+        )
 
     def check_idempotence(self, source: str) -> IdempotenceResult:
         """Idempotence assumes determinism has been established
@@ -226,21 +234,20 @@ class Rehearsal:
         self,
         source: str,
         name: str = "<manifest>",
-        compiled: Optional[Tuple[DiGraph, Dict[str, Expr]]] = None,
+        compiled: Optional[Frontend] = None,
     ) -> VerificationReport:
         """Determinism first, then idempotence (gated, per §5).
 
-        ``compiled`` — an already-computed :meth:`compile` result for
-        ``source``; callers that need the graph and programs themselves
-        (the differential fuzzer runs its oracle on them) pass it in so
-        the frontend runs once per manifest.
+        ``compiled`` — an already-built :meth:`frontend` for
+        ``source``; callers that need it themselves (batch rows lint
+        it, the differential fuzzer runs its oracle on it) pass it in
+        so the frontend runs once per manifest.
         """
         report = VerificationReport(manifest_name=name)
         start = time.perf_counter()
         try:
-            graph, programs = (
-                compiled if compiled is not None else self.compile(source)
-            )
+            front = compiled if compiled is not None else self.frontend(source)
+            graph, programs = self.with_prelude(front)
         except ReproError as exc:
             report.error = str(exc)
             report.total_seconds = time.perf_counter() - start
@@ -271,7 +278,11 @@ class Rehearsal:
             )
         try:
             det = check_determinism(
-                graph, programs, self.options, incremental_store=store
+                graph,
+                programs,
+                self.options,
+                incremental_store=store,
+                footprints=front.footprints,
             )
             report.determinism = det
             report.deterministic = det.deterministic

@@ -10,7 +10,7 @@ real machines provide and is what the logical encoding assumes of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from repro.fs.paths import Path
 
@@ -128,12 +128,6 @@ class FileSystem:
         items = dict(self._entries)
         items.pop(path, None)
         return FileSystem(items)
-
-    def restricted_to(self, paths: Iterable[Path]) -> "FileSystem":
-        keep = set(paths)
-        return FileSystem(
-            {p: c for p, c in self._entries.items() if p in keep}
-        )
 
     # -- dunder ------------------------------------------------------------
 

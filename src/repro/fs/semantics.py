@@ -117,13 +117,3 @@ def eval_expr(expr: fx.Expr, fs: FileSystem) -> Result:
         )
         return eval_expr(branch, fs)
     raise TypeError(f"unknown expression: {expr!r}")
-
-
-def equivalent_on(e1: fx.Expr, e2: fx.Expr, fs: FileSystem) -> bool:
-    """``⟦e1⟧σ = ⟦e2⟧σ`` for one concrete σ."""
-    return eval_expr(e1, fs) == eval_expr(e2, fs)
-
-
-def commute_on(e1: fx.Expr, e2: fx.Expr, fs: FileSystem) -> bool:
-    """``⟦e1;e2⟧σ = ⟦e2;e1⟧σ`` for one concrete σ."""
-    return equivalent_on(fx.seq(e1, e2), fx.seq(e2, e1), fs)

@@ -319,68 +319,6 @@ def _as_path(p: Union[Path, str]) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def pred_paths(a: Pred) -> Iterator[Path]:
-    """Paths syntactically mentioned by a predicate."""
-    stack = [a]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, (IsNone, IsFile, IsDir, IsEmptyDir, IsFileWith)):
-            yield cur.path
-        elif isinstance(cur, PNot):
-            stack.append(cur.inner)
-        elif isinstance(cur, (PAnd, POr)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-
-
-def expr_paths(e: Expr) -> Iterator[Path]:
-    """Paths syntactically mentioned by an expression."""
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, (Mkdir, Creat, Rm)):
-            yield cur.path
-        elif isinstance(cur, Cp):
-            yield cur.src
-            yield cur.dst
-        elif isinstance(cur, Seq):
-            stack.append(cur.first)
-            stack.append(cur.second)
-        elif isinstance(cur, If):
-            yield from pred_paths(cur.pred)
-            stack.append(cur.then_branch)
-            stack.append(cur.else_branch)
-
-
-def expr_contents(e: Expr) -> Iterator[str]:
-    """String literals written by an expression or tested by predicates."""
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Creat):
-            yield cur.content
-        elif isinstance(cur, Seq):
-            stack.append(cur.first)
-            stack.append(cur.second)
-        elif isinstance(cur, If):
-            yield from _pred_contents(cur.pred)
-            stack.append(cur.then_branch)
-            stack.append(cur.else_branch)
-
-
-def _pred_contents(a: Pred) -> Iterator[str]:
-    stack = [a]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, IsFileWith):
-            yield cur.content
-        elif isinstance(cur, PNot):
-            stack.append(cur.inner)
-        elif isinstance(cur, (PAnd, POr)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-
-
 def subexpressions(e: Expr) -> Iterator[Expr]:
     """All subexpressions, root first."""
     stack = [e]

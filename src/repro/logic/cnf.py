@@ -33,12 +33,6 @@ class CNF:
     def add(self, clause: Clause) -> None:
         self.clauses.append(clause)
 
-    def name_of(self, var: int) -> Optional[str]:
-        for name, vid in self.var_ids.items():
-            if vid == var:
-                return name
-        return None
-
     def decode(self, assignment: Dict[int, bool]) -> Dict[str, bool]:
         """Restrict a solver assignment to the named (input) variables."""
         return {

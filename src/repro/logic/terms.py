@@ -186,10 +186,6 @@ class TermBank:
 
     # -- inspection -----------------------------------------------------------
 
-    @property
-    def num_terms(self) -> int:
-        return len(self._intern)
-
     def variables(self, t: Term) -> set[str]:
         """Variable names occurring in a term DAG."""
         out: set[str] = set()

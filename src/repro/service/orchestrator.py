@@ -106,10 +106,9 @@ def _verify_one(job: _Job) -> dict:
         start = time.perf_counter()
         try:
             front = tool.frontend(job.source)
-            compiled = front.graph, front.programs
         except ReproError:
-            front = compiled = None
-        report = tool.verify(job.source, name=job.name, compiled=compiled)
+            front = None
+        report = tool.verify(job.source, name=job.name, compiled=front)
         report.total_seconds = time.perf_counter() - start
         result = ManifestResult.from_report(
             report, sha256=job.sha256, cache_key=job.key

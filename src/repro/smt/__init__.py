@@ -26,7 +26,6 @@ _LAZY_EXPORTS = {
     "apply_expr": "repro.smt.encoder",
     "assignment_for_fs": "repro.smt.state",
     "check_sat": "repro.smt.query",
-    "concrete_state": "repro.smt.state",
     "decode_filesystem": "repro.smt.model",
     "describe_filesystem": "repro.smt.model",
     "encode_pred": "repro.smt.encoder",

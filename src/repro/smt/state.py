@@ -74,13 +74,6 @@ class SymbolicState:
         fs[path] = value
         return SymbolicState(self.ok, fs)
 
-    def update_many(
-        self, entries: Dict[Path, SymbolicValue]
-    ) -> "SymbolicState":
-        fs = dict(self.fs)
-        fs.update(entries)
-        return SymbolicState(self.ok, fs)
-
 
 def initial_state(bank: TermBank, domains: PathDomains) -> SymbolicState:
     """Fully symbolic initial state: one boolean variable per
@@ -119,18 +112,6 @@ def initial_constraints(
             parent_dir = bank.var(initial_var_name(parent, V_DIR))
             parts.append(bank.implies(exists, parent_dir))
     return bank.and_(*parts)
-
-
-def concrete_state(
-    bank: TermBank, domains: PathDomains, fs: FileSystem
-) -> SymbolicState:
-    """Lift a concrete filesystem into a (constant) symbolic state.
-    Used by tests to validate the encoder against the evaluator."""
-    out: Dict[Path, SymbolicValue] = {}
-    for path in domains.paths:
-        value = value_of_content(fs.lookup(path))
-        out[path] = SymbolicValue.const(bank, value)
-    return SymbolicState(bank.TRUE, out)
 
 
 def assignment_for_fs(

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Mapping, Optional, Union
 
 from repro.fs import syntax as fx
 from repro.fs.domain import domain_of
-from repro.fs.filesystem import DIR, Content, FileContent
+from repro.fs.filesystem import Content, FileContent
 from repro.fs.paths import Path
 from repro.logic.terms import Term, TermBank
 
@@ -69,14 +69,6 @@ def value_of_content(content: Optional[Content]) -> DomainValue:
         return V_DIR
     assert isinstance(content, FileContent)
     return VFile(content.data)
-
-
-def content_of_value(value: DomainValue) -> Optional[Content]:
-    if isinstance(value, VDne):
-        return None
-    if isinstance(value, VDir):
-        return DIR
-    return FileContent(value.content)
 
 
 class PathDomains:

@@ -171,15 +171,17 @@ def run_source(
     """Differential-check one manifest source; see module docstring."""
     outcome = CaseOutcome(name=name)
     tool = Rehearsal(context=context, options=options)
-    # Compile once; the pipeline verifies on the compiled pair and the
-    # oracle explores the same graph/programs.
+    # Build the frontend once; the pipeline verifies on it and the
+    # oracle explores the same graph/programs (with_prelude is a pure
+    # function of the frontend).
     from repro.errors import ReproError
 
     try:
-        compiled = tool.compile(source)
+        front = tool.frontend(source)
+        compiled = tool.with_prelude(front)
     except ReproError:
-        compiled = None  # verify() reports the compile error itself
-    report = tool.verify(source, name=name, compiled=compiled)
+        front = compiled = None  # verify() reports the error itself
+    report = tool.verify(source, name=name, compiled=front)
     outcome.pipeline_deterministic = report.deterministic
     outcome.pipeline_idempotent = report.idempotent
     outcome.pipeline_error = report.error
