@@ -14,9 +14,9 @@ Two kinds of checks over a compiled resource graph:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.commutativity import footprint
+from repro.analysis.commutativity import Footprint
 from repro.analysis.invariants import check_invariant
 from repro.digraph import DiGraph, topological_sort
 from repro.fs import FileSystem
@@ -32,7 +32,7 @@ NodeId = Hashable
 class WriteFinding:
     resource: NodeId
     path: Path
-    kind: str  # "write" | "dir-ensure" | "removes-children"
+    kind: str  # "write" | "dir-ensure"
 
 
 @dataclass
@@ -62,19 +62,18 @@ class AuditReport:
 
 
 def audit_writes(
-    programs: Dict[NodeId, fx.Expr],
+    prints: Mapping[NodeId, Footprint],
     protected: Sequence[Path],
     allow: Sequence[NodeId] = (),
 ) -> AuditReport:
-    """Report every resource whose footprint writes (or removes
-    children) inside a protected subtree; ``allow`` lists resources
-    exempted by policy."""
+    """Report every resource whose footprint (``prints``, node →
+    footprint of its program) writes or ensures a directory inside a
+    protected subtree; ``allow`` lists resources exempted by policy."""
     allowed = set(allow)
     report = AuditReport()
-    for node, expr in programs.items():
+    for node, fp in prints.items():
         if node in allowed:
             continue
-        fp = footprint(expr)
         for path in sorted(fp.writes):
             if _under_any(path, protected):
                 report.findings.append(WriteFinding(node, path, "write"))
@@ -83,10 +82,6 @@ def audit_writes(
                 report.findings.append(
                     WriteFinding(node, path, "dir-ensure")
                 )
-        for path in sorted(fp.children_reads):
-            # rm of a protected dir (children observation + write).
-            if path in fp.writes and _under_any(path, protected):
-                continue  # already reported as a write
     return report
 
 

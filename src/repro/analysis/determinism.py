@@ -61,8 +61,9 @@ from repro.analysis.commutativity import (
 from repro.analysis.elimination import eliminate_resources
 from repro.digraph import DiGraph, descendants, topological_sort
 from repro.errors import AnalysisBudgetExceeded
-from repro.fs import FileSystem, eval_expr, seq
+from repro.fs import FileSystem
 from repro.fs import syntax as fx
+from repro.fs.semantics import ConcreteRunner
 
 # The symbolic back end (term bank, SMT encoding, SAT) and the pruning
 # passes load where they first run: on most manifests elimination
@@ -664,11 +665,11 @@ def _diverging_orders(
         for n in topological_sort(graph)
         if n not in explored_nodes
     ]
+    runner = ConcreteRunner(original_programs)
     outcomes = []
     for _, order in finals:
         full_order = list(order) + tail
-        program = seq(*[original_programs[n] for n in full_order])
-        outcomes.append((full_order, eval_expr(program, witness)))
+        outcomes.append((full_order, runner.run(full_order, witness)))
     base_order, base_outcome = outcomes[0]
     for other_order, other_outcome in outcomes[1:]:
         if other_outcome != base_outcome:

@@ -43,7 +43,6 @@ from repro.errors import (
     PuppetSyntaxError,
     ResourceModelError,
 )
-from repro.fs import eval_expr
 from repro.fs import syntax as fx
 from repro.fs.paths import Path
 from repro.puppet.catalog import Catalog
@@ -100,11 +99,6 @@ class LintOptions:
     #: topological orders (the self-validation that makes REH005
     #: definite).  Off, every candidate is a REH006 warning.
     confirm_races: bool = True
-    #: Initial states sampled per candidate pair during confirmation.
-    max_confirm_states: int = 12
-    #: Total concrete-evaluation budget for confirmation per manifest;
-    #: exhaustion degrades candidates to warnings, never to errors.
-    max_confirm_evaluations: int = 20_000
     #: Protected subtrees for the REH010 write audit (off when empty).
     protected: Tuple[Path, ...] = ()
     #: Rule ids to suppress entirely.
@@ -131,11 +125,6 @@ class LintContext:
     #: node -> footprint of its program: the frontend's, when lint
     #: runs on one, else computed on first use.
     _footprints: Optional[Dict[object, Footprint]] = None
-    #: (node, state) -> result of running the node's program on that
-    #: state; lives as long as this context, i.e. one lint call.
-    _evaluations: Dict[Tuple[object, object], object] = field(
-        default_factory=dict
-    )
 
     @property
     def footprints(self) -> Dict[object, Footprint]:
@@ -144,17 +133,6 @@ class LintContext:
                 n: footprint(e) for n, e in self.programs.items()
             }
         return self._footprints
-
-    def evaluate(self, node: object, state):
-        """``node``'s program on the concrete ``state`` (Fig. 5
-        semantics), computed once per node and state."""
-        key = (node, state)
-        result = self._evaluations.get(key)
-        if result is None:
-            result = self._evaluations[key] = eval_expr(
-                self.programs[node], state
-            )
-        return result
 
     def span_of(self, node: object) -> Tuple[int, int]:
         """(line, col) of the resource behind a graph node."""

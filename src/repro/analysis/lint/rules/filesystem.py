@@ -81,7 +81,7 @@ def missing_parent_dirs(ctx: LintContext) -> Iterable[Diagnostic]:
 def protected_writes(ctx: LintContext) -> Iterable[Diagnostic]:
     if not ctx.options.protected or not ctx.programs:
         return
-    report = audit_writes(ctx.programs, list(ctx.options.protected))
+    report = audit_writes(ctx.footprints, list(ctx.options.protected))
     for finding in report.findings:
         line, col = ctx.span_of(finding.resource)
         yield ctx.diag(

@@ -41,8 +41,14 @@ from repro.analysis.lint.engine import (
     register_rule,
 )
 from repro.digraph import ancestors, descendants, lexicographical_topological_sort
-from repro.fs import is_error
+from repro.fs.semantics import ConcreteRunner
 from repro.testing.oracle import initial_state_family
+
+#: Initial states sampled per candidate pair during confirmation.
+_MAX_STATES = 12
+#: Concrete-evaluation budget for confirmation per manifest; exhaustion
+#: degrades candidates to warnings, never to errors.
+_MAX_EVALUATIONS = 20_000
 
 register_rule(
     Rule(
@@ -98,14 +104,13 @@ def races(ctx: LintContext) -> Iterable[Diagnostic]:
     states: List = []
     if ctx.options.confirm_races:
         states = initial_state_family(
-            ctx.programs.values(),
-            max_states=ctx.options.max_confirm_states,
-            seed=0,
+            ctx.programs.values(), max_states=_MAX_STATES, seed=0
         )
 
+    runner = ConcreteRunner(ctx.programs)
     for a, b in candidates:
         paths = matrix[a][b]
-        witness, swept = _confirm(ctx, graph, a, b, states)
+        witness, swept = _confirm(ctx, runner, graph, a, b, states)
         primary, other = sorted(
             (a, b), key=lambda n: (ctx.span_of(n), str(n))
         )
@@ -204,17 +209,8 @@ def _placement(graph, a, b, late: bool) -> Tuple[List[object], List[object]]:
     return prefix, suffix
 
 
-def _run(ctx: LintContext, order: List[object], state):
-    """Apply ``order`` to ``state``; ``ERROR`` absorbs."""
-    for node in order:
-        if is_error(state):
-            break
-        state = ctx.evaluate(node, state)
-    return state
-
-
 def _confirm(
-    ctx: LintContext, graph, a, b, states
+    ctx: LintContext, runner: ConcreteRunner, graph, a, b, states
 ) -> Tuple[Optional[RaceWitness], bool]:
     """Try to produce a divergence witness for the pair.  Returns
     ``(witness, swept)`` where ``swept`` means every placement/state
@@ -227,21 +223,18 @@ def _confirm(
     placement and state still counts as two full evaluations, so the
     budget and the stats read as if both orders ran end to end."""
     stats = ctx.report.stats
-    budget = ctx.options.max_confirm_evaluations
     for late in (True, False):
         prefix, suffix = _placement(graph, a, b, late=late)
         for initial in states:
-            if stats.confirm_evaluations + 2 > budget:
+            if stats.confirm_evaluations + 2 > _MAX_EVALUATIONS:
                 stats.confirm_budget_exhausted = True
                 return None, False
             stats.confirm_evaluations += 2
-            before = _run(ctx, prefix, initial)
-            mid_ab = _run(ctx, [a, b], before)
-            mid_ba = _run(ctx, [b, a], before)
+            mid_ab, mid_ba = runner.swap(a, b, runner.run(prefix, initial))
             if mid_ab == mid_ba:
                 continue
-            out_ab = _run(ctx, suffix, mid_ab)
-            out_ba = _run(ctx, suffix, mid_ba)
+            out_ab = runner.run(suffix, mid_ab)
+            out_ba = runner.run(suffix, mid_ba)
             if out_ab != out_ba:
                 return (
                     RaceWitness(

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.commutativity import Footprint, footprints_of
-from repro.digraph import DiGraph, has_path
+from repro.digraph import DiGraph
 from repro.fs import FileSystem, syntax as fx
 from repro.fs.paths import Path
-from repro.fs.semantics import ERROR, Result, eval_expr
+from repro.fs.semantics import ERROR, ConcreteRunner, Result
 
 NodeId = Hashable
 
@@ -75,13 +75,17 @@ def localize_race(
     graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     modeled_paths: Sequence[Path],
+    *,
+    descendants: Mapping[NodeId, frozenset],
+    prints: Mapping[NodeId, Footprint],
     outcomes: Optional[Tuple[Result, Result]] = None,
-    descendants: Optional[Mapping[NodeId, frozenset]] = None,
     witness: Optional[FileSystem] = None,
-    prints: Optional[Mapping[NodeId, Footprint]] = None,
 ) -> Optional[RaceReport]:
     """Name the racing resource pair and contended path between two
     diverging explored orders; see the module docstring.
+
+    ``descendants`` — the explorer's node → descendant set of ``graph``;
+    ``prints`` — footprints of ``programs`` (missing ones are computed).
 
     ``outcomes`` — the two orders' concrete outcomes on ``witness``
     (a :class:`FileSystem` or ``ERROR`` each).  The modeled paths on
@@ -90,12 +94,6 @@ def localize_race(
     to validate on either) no path is preferred and the static
     footprint ranking decides.
 
-    ``descendants`` — optional node → descendant-set mapping of
-    ``graph`` (the explorer precomputes it); when provided, the
-    pair-ranking pass answers "are a and b ordered?" with two set
-    lookups instead of a ``has_path`` traversal per candidate
-    pair.
-
     ``witness`` — the decoded non-determinism witness filesystem.
     When given, candidate pairs are *validated concretely*: the best
     candidate whose adjacent swap actually changes the outcome at some
@@ -103,9 +101,6 @@ def localize_race(
     — the static footprint ranking alone can name a pair that merely
     shares an idempotently-ensured directory while the true race runs
     through a parent directory one resource creates for the other.
-
-    ``prints`` — footprints of ``programs`` the caller already has;
-    missing ones are computed.
 
     Returns None when no swapped, unordered pair exists (e.g. a
     single-resource divergence after elimination).
@@ -130,9 +125,9 @@ def localize_race(
         other_order,
         graph,
         programs,
-        descendants=descendants,
-        witness=witness,
-        prints=prints,
+        descendants,
+        prints,
+        witness,
     )
     if pair is None:
         return None
@@ -152,9 +147,9 @@ def _pick_pair(
     other_order: Sequence[NodeId],
     graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
-    descendants: Optional[Mapping[NodeId, frozenset]] = None,
-    witness: Optional[FileSystem] = None,
-    prints: Optional[Mapping[NodeId, Footprint]] = None,
+    descendants: Mapping[NodeId, frozenset],
+    prints: Mapping[NodeId, Footprint],
+    witness: Optional[FileSystem],
 ) -> Optional[Tuple[NodeId, NodeId, Optional[Path]]]:
     """The racing pair: two resources that swap relative order between
     the two diverging linearizations, are unordered in the dependency
@@ -164,14 +159,9 @@ def _pick_pair(
     position = {n: i for i, n in enumerate(base_order)}
     other_position = {n: i for i, n in enumerate(other_order)}
     prints = footprints_of(
-        [n for n in position if n in programs], programs, prints or {}
+        [n for n in position if n in programs], programs, prints
     )
     core_set = set(core_paths)
-
-    def ordered(a: NodeId, b: NodeId) -> bool:
-        if descendants is not None:
-            return b in descendants[a] or a in descendants[b]
-        return has_path(graph, a, b) or has_path(graph, b, a)
 
     swapped: List[Tuple[NodeId, NodeId]] = []
     nodes = [n for n in base_order if n in other_position]
@@ -180,7 +170,7 @@ def _pick_pair(
             if (position[a] < position[b]) != (
                 other_position[a] < other_position[b]
             ):
-                if ordered(a, b):
+                if b in descendants[a] or a in descendants[b]:
                     continue  # ordered by dependencies: cannot race
                 swapped.append(tuple(sorted((a, b), key=str)))
 
@@ -231,7 +221,7 @@ def _pick_pair(
             graph,
             programs,
             witness,
-            set(swapped),
+            swapped,
             VALIDATION_EVAL_LIMIT,
         )
         if racing is not None:
@@ -258,7 +248,7 @@ def _concretely_racing(
     graph: DiGraph,
     programs: Dict[NodeId, fx.Expr],
     witness: FileSystem,
-    pairs: set,
+    pairs: Sequence[Tuple[NodeId, NodeId]],
     eval_limit: int,
 ) -> Optional[set]:
     """Which candidate ``pairs`` concretely race from ``witness``: at
@@ -266,54 +256,41 @@ def _concretely_racing(
     and ``b;a`` produce different outcomes.
 
     One walk of the reachable concrete-state DAG (deduplicated on
-    ``(remaining, state)`` by value — exact, no fingerprints) checks
-    every candidate pair at every visited state, with each fringe
-    resource evaluated once per state and reused for both the pair
-    comparisons and the expansion.  Returns the racing subset, or None
-    when ``eval_limit`` runs out first (verdict unknown — the caller
-    falls back to its static ranking).
+    ``(remaining, state)`` by value — exact, no fingerprints), its
+    fringe in ``str`` order like :func:`repro.testing.oracle.racing_pairs`,
+    checks every candidate pair at every visited state.  One
+    :class:`ConcreteRunner` evaluates each resource once per state, for
+    the pair swaps and the expansion alike.  Returns the racing subset,
+    or None when more than ``eval_limit`` evaluations would be needed
+    (verdict unknown — the caller falls back to its static ranking).
     """
     predecessors = {n: frozenset(graph.predecessors(n)) for n in graph}
-    budget = [eval_limit]
-
-    def evaluate(node: NodeId, state: FileSystem):
-        budget[0] -= 1
-        return eval_expr(programs[node], state)
-
+    runner = ConcreteRunner(programs)
     racing: set = set()
     root = frozenset(graph.nodes)
     seen = {(root, witness)}
     stack = [(root, witness)]
     while stack:
-        if budget[0] <= 0:
+        if runner.evaluations >= eval_limit:
             return None
         remaining, state = stack.pop()
-        fringe = [
-            n for n in remaining if not (predecessors[n] & remaining)
-        ]
-        after = {n: evaluate(n, state) for n in fringe}
-        schedulable = set(fringe)
-        for a, b in pairs - racing:
-            if a not in schedulable or b not in schedulable:
+        fringe = sorted(
+            (n for n in remaining if not (predecessors[n] & remaining)),
+            key=str,
+        )
+        for a, b in pairs:
+            if (a, b) in racing or a not in fringe or b not in fringe:
                 continue
-            out_ab = (
-                ERROR
-                if after[a] is ERROR
-                else evaluate(b, after[a])
-            )
-            out_ba = (
-                ERROR
-                if after[b] is ERROR
-                else evaluate(a, after[b])
-            )
+            out_ab, out_ba = runner.swap(a, b, state)
             if out_ab != out_ba:
                 racing.add((a, b))
-        if racing == pairs:
+        if len(racing) == len(pairs):
             return racing  # every candidate settled
         for n in fringe:
-            if after[n] is ERROR:
+            after = runner.step(n, state)
+            if after is ERROR:
                 continue
-            key = (remaining - {n}, after[n])
+            key = (remaining - {n}, after)
             if key not in seen:
                 seen.add(key)
                 stack.append(key)

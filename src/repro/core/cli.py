@@ -47,11 +47,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path as OsPath
 
 from repro.analysis.determinism import DeterminismOptions
 from repro.core.pipeline import Rehearsal
 from repro.core.report import render_batch_report, render_report
+from repro.errors import ReproError
 from repro.resources.compiler import ModelContext
 from repro.resources.package_db import PackageDatabase
 
@@ -192,7 +194,14 @@ def run_verify(argv) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    report = tool.verify(source, name=args.manifest)
+    # One frontend for the verify and --explain; verify reports a failure.
+    start = time.perf_counter()
+    try:
+        front = tool.frontend(source)
+    except ReproError:
+        front = None
+    report = tool.verify(source, name=args.manifest, compiled=front)
+    report.total_seconds = time.perf_counter() - start
     if profiler is not None:
         profiler.disable()
     print(render_report(report))
@@ -209,7 +218,7 @@ def run_verify(argv) -> int:
     ):
         from repro.core.report import render_explanation
 
-        _, programs = tool.compile(source)
+        _, programs = tool.with_prelude(front)
         print()
         print(
             render_explanation(

@@ -8,7 +8,7 @@ This evaluator is the ground truth that the logical encoding
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.fs import syntax as fx
 from repro.fs.filesystem import DIR, FileContent, FileSystem
@@ -117,3 +117,41 @@ def eval_expr(expr: fx.Expr, fs: FileSystem) -> Result:
         )
         return eval_expr(branch, fs)
     raise TypeError(f"unknown expression: {expr!r}")
+
+
+class ConcreteRunner:
+    """Runs the programs of ``programs`` (node → expression) on
+    concrete states, for witness replay, race validation and lint's
+    race confirmation.  ``ERROR`` absorbs; each ``(node, state)`` is
+    evaluated once, and ``evaluations`` counts those evaluations."""
+
+    __slots__ = ("programs", "evaluations", "_memo")
+
+    def __init__(self, programs: Mapping[Hashable, fx.Expr]):
+        self.programs = programs
+        self.evaluations = 0
+        self._memo: Dict[Tuple[Hashable, FileSystem], Result] = {}
+
+    def step(self, node: Hashable, state: Result) -> Result:
+        """``node``'s program on ``state``."""
+        if state is ERROR:
+            return ERROR
+        key = (node, state)
+        result = self._memo.get(key)
+        if result is None:
+            self.evaluations += 1
+            result = self._memo[key] = eval_expr(self.programs[node], state)
+        return result
+
+    def run(self, order: Iterable[Hashable], state: Result) -> Result:
+        """The programs of ``order`` in sequence from ``state``."""
+        for node in order:
+            state = self.step(node, state)
+        return state
+
+    def swap(self, a: Hashable, b: Hashable, state: Result):
+        """The outcomes ``(a;b, b;a)`` from ``state``."""
+        return (
+            self.step(b, self.step(a, state)),
+            self.step(a, self.step(b, state)),
+        )

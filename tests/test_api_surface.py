@@ -163,7 +163,9 @@ def test_backend_names_are_not_exported():
 def test_unsat_core_localization_is_gone():
     """Races are localized by replaying the witness, not by shrinking
     an unsat core on the determinacy solver: the core minimizer and its
-    size limit are gone, and ``localize_race`` takes no solver."""
+    size limit are gone, and ``localize_race`` takes no solver.  Its
+    one caller always has the explorer's descendant sets and the
+    footprints, so both are required."""
     import inspect
 
     from repro.analysis import localize
@@ -173,6 +175,21 @@ def test_unsat_core_localization_is_gone():
     params = inspect.signature(localize.localize_race).parameters
     for name in ("bank", "domains", "query", "pair_selector", "deadline"):
         assert name not in params, name
+    for name in ("descendants", "prints"):
+        assert params[name].default is inspect.Parameter.empty, name
+
+
+def test_lint_options_keep_only_what_callers_set():
+    """The confirmation state count and evaluation budget are module
+    constants of the race rule, not options."""
+    import dataclasses
+
+    from repro.analysis.lint import LintOptions
+    from repro.analysis.lint.rules import races
+
+    fields = {f.name for f in dataclasses.fields(LintOptions)}
+    assert fields == {"confirm_races", "protected", "disabled"}
+    assert (races._MAX_STATES, races._MAX_EVALUATIONS) == (12, 20_000)
 
 
 @pytest.mark.parametrize("command", ["verify", "verify-batch", "serve"])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.audit import audit_writes, prove_never_deleted
+from repro.analysis.commutativity import footprint
 from repro.digraph import DiGraph
 from repro.fs import Path, creat, mkdir, rm, seq, ite, file_, ID
 from repro.resources import Resource, ResourceCompiler
@@ -13,6 +14,10 @@ def compiler():
     return ResourceCompiler()
 
 
+def footprints(programs):
+    return {node: footprint(expr) for node, expr in programs.items()}
+
+
 class TestWriteAudit:
     def test_clean_manifest(self, compiler):
         programs = {
@@ -20,7 +25,7 @@ class TestWriteAudit:
                 Resource("file", "/srv/app.conf", {"content": "x"})
             )
         }
-        report = audit_writes(programs, [Path.of("/etc")])
+        report = audit_writes(footprints(programs), [Path.of("/etc")])
         assert report.clean
         assert "clean" in report.render()
 
@@ -30,7 +35,7 @@ class TestWriteAudit:
                 Resource("file", "/etc/shadow", {"content": "boom"})
             )
         }
-        report = audit_writes(programs, [Path.of("/etc")])
+        report = audit_writes(footprints(programs), [Path.of("/etc")])
         assert not report.clean
         finding = report.findings[0]
         assert finding.resource == "f"
@@ -44,7 +49,7 @@ class TestWriteAudit:
             )
         }
         report = audit_writes(
-            programs, [Path.of("/etc")], allow=["f"]
+            footprints(programs), [Path.of("/etc")], allow=["f"]
         )
         assert report.clean
 
@@ -52,7 +57,9 @@ class TestWriteAudit:
         programs = {
             "pkg": compiler.compile(Resource("package", "vim", {}))
         }
-        report = audit_writes(programs, [Path.of("/usr/share/vim")])
+        report = audit_writes(
+            footprints(programs), [Path.of("/usr/share/vim")]
+        )
         paths = {str(f.path) for f in report.findings}
         assert "/usr/share/vim/vimrc" in paths
         assert all(p.startswith("/usr/share/vim") for p in paths)
@@ -69,7 +76,7 @@ class TestWriteAudit:
                 Resource("file", "/boot/initrd", {"ensure": "absent"})
             ),
         }
-        report = audit_writes(programs, [Path.of("/boot")])
+        report = audit_writes(footprints(programs), [Path.of("/boot")])
         assert set(report.by_resource()) == {"bad1", "bad2"}
 
 

@@ -81,3 +81,40 @@ def test_no_compiled_program_twice_in_one_verify(traced_pass):
             if computed[id(e)] > compiled[id(e)]
         }
         assert not repeats, repeats
+
+
+
+def test_protected_lint_computes_each_footprint_once(monkeypatch):
+    """REH010's write audit reads lint's footprints, so ``rehearsal
+    lint --protect`` over the corpus computes one footprint per
+    compiled program."""
+    from repro.analysis.lint import LintOptions, lint_source
+    from repro.fs.paths import Path
+
+    sources = []
+    for path in manifest_paths():
+        with open(path, encoding="utf8") as handle:
+            sources.append(handle.read())
+    compiled = sum(
+        len(pipeline.Rehearsal().frontend(source).programs)
+        for source in sources
+    )
+    original = commutativity.footprint
+    calls = []
+
+    def spy(e):
+        calls.append(e)
+        return original(e)
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, "footprint", None) is original
+        ):
+            monkeypatch.setattr(module, "footprint", spy)
+    options = LintOptions(protected=(Path.of("/etc"), Path.of("/usr")))
+    audited = 0
+    for source in sources:
+        report = lint_source(source, options=options)
+        audited += sum(d.rule_id == "REH010" for d in report.diagnostics)
+    assert audited > 0
+    assert len(calls) == compiled == 89

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import LintOptions, lint_source
+from repro.analysis.lint import lint_source
+from repro.analysis.lint.rules import races
 from repro.corpus import CASES, FIXED_VARIANTS, load_source
 
 PINS = Path(__file__).resolve().parent / "data" / "lint-race-confirmation.json"
@@ -57,15 +58,12 @@ def test_confirmation_matches_pin(pinned, name):
 
 
 @pytest.mark.parametrize("budget", [1, 2, 7, 10, 30])
-def test_small_budget_is_exhausted_and_never_exceeded(budget):
+def test_small_budget_is_exhausted_and_never_exceeded(budget, monkeypatch):
     """irc-nondet needs 34 evaluations to confirm its two races; below
     that the budget runs dry, nothing is confirmed, and each candidate
     stays a warning that says why."""
-    report = lint_source(
-        load_source("irc-nondet"),
-        name="irc-nondet.pp",
-        options=LintOptions(max_confirm_evaluations=budget),
-    )
+    monkeypatch.setattr(races, "_MAX_EVALUATIONS", budget)
+    report = lint_source(load_source("irc-nondet"), name="irc-nondet.pp")
     stats = report.stats
     assert stats.confirm_budget_exhausted
     assert stats.confirm_evaluations <= budget
@@ -78,13 +76,10 @@ def test_small_budget_is_exhausted_and_never_exceeded(budget):
     )
 
 
-def test_budget_that_suffices_is_not_exhausted(pinned):
+def test_budget_that_suffices_is_not_exhausted(pinned, monkeypatch):
     needed = pinned["irc-nondet"]["confirm_evaluations"]
-    report = lint_source(
-        load_source("irc-nondet"),
-        name="irc-nondet.pp",
-        options=LintOptions(max_confirm_evaluations=needed),
-    )
+    monkeypatch.setattr(races, "_MAX_EVALUATIONS", needed)
+    report = lint_source(load_source("irc-nondet"), name="irc-nondet.pp")
     assert not report.stats.confirm_budget_exhausted
     assert report.stats.confirm_evaluations == needed
     assert report.stats.races_confirmed == 2

@@ -1,5 +1,7 @@
 """Tests for the end-to-end pipeline, report rendering, and CLI."""
 
+import re
+
 import pytest
 
 from repro import Rehearsal
@@ -165,6 +167,48 @@ class TestCli:
         assert code == 1
         assert "--- order (1) ---" in out
         assert "FAILED" in out or "success" in out
+
+    def test_cli_explain_builds_the_frontend_once(self, monkeypatch, capsys):
+        """``verify --explain`` explains from the frontend the verify
+        built; its text is that of a verify plus an explanation from a
+        second, separately compiled frontend."""
+        from repro.core import pipeline
+        from repro.core.report import render_explanation
+        from repro.corpus import load_source, manifest_dir
+
+        path = str(manifest_dir() / "ntp-nondet.pp")
+        source = load_source("ntp-nondet")
+        tool = Rehearsal()
+        report = tool.verify(source, name=path)
+        _, programs = tool.compile(source)
+        expected = (
+            render_report(report)
+            + "\n\n"
+            + render_explanation(
+                report.determinism,
+                programs,
+                declared_at=report.declared_at,
+                manifest_name=report.manifest_name,
+            )
+            + "\n"
+        )
+
+        calls = []
+        original = pipeline.build_frontend
+
+        def build_frontend(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_frontend", build_frontend)
+        assert cli_main(["verify", path, "--explain"]) == 1
+        out = capsys.readouterr().out
+        assert len(calls) == 1
+
+        def untimed(text):
+            return re.sub(r"[0-9]+\.[0-9]+s\b", "<t>s", text)
+
+        assert untimed(out) == untimed(expected)
 
     def test_cli_node_selection(self, tmp_path, capsys):
         manifest = tmp_path / "nodes.pp"
