@@ -188,14 +188,13 @@ def lint_source(
     name: str = "<manifest>",
     options: Optional[LintOptions] = None,
     context: Optional[ModelContext] = None,
-    facts: Optional[dict] = None,
     node_name: str = "default",
     frontend: Optional[Frontend] = None,
 ) -> LintReport:
     """Lint one manifest source; see the module docstring for staging.
 
     ``frontend`` — the pipeline's :class:`~repro.core.pipeline.Frontend`
-    for ``source``, built under the same context, facts and node name
+    for ``source``, built under the same context and node name
     by a caller that also verifies the manifest.  Lint then runs only
     its catalog and graph checkers on it instead of rebuilding it.
     """
@@ -207,7 +206,7 @@ def lint_source(
     ctx = LintContext(name=name, options=options, report=report)
     if frontend is None:
         frontend = _staged_frontend(
-            ctx, source, context or ModelContext(), facts, node_name
+            ctx, source, context or ModelContext(), node_name
         )
     else:
         _catalog_stage(ctx, frontend.catalog)
@@ -224,7 +223,6 @@ def _staged_frontend(
     ctx: LintContext,
     source: str,
     context: ModelContext,
-    facts: Optional[dict],
     node_name: str,
 ) -> Optional[Frontend]:
     """The pipeline's frontend, turning each stage's failure into its
@@ -260,7 +258,6 @@ def _staged_frontend(
         return build_frontend(
             manifest,
             context,
-            facts,
             node_name,
             on_catalog=lambda catalog: _catalog_stage(ctx, catalog),
             on_model_error=model_error,

@@ -54,13 +54,7 @@ from repro.analysis.determinism import DeterminismOptions
 from repro.core.pipeline import Rehearsal
 from repro.core.report import render_batch_report, render_report
 from repro.errors import ReproError
-from repro.resources.compiler import ModelContext
-from repro.resources.package_db import PackageDatabase
-
-#: The names ``--platform`` accepts: the keys of
-#: :data:`repro.core.platforms.PLATFORMS`, spelled out so that parsing
-#: the command line does not import the platform profiles.
-PLATFORM_NAMES = ("ubuntu", "centos")
+from repro.resources.compiler import PLATFORMS, ModelContext
 
 
 def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
@@ -68,8 +62,9 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--platform",
         default="ubuntu",
-        choices=PLATFORM_NAMES,
-        help="target platform for package modeling (default: ubuntu)",
+        choices=tuple(PLATFORMS),
+        help="target platform: its facts and package database "
+        "(default: ubuntu)",
     )
     parser.add_argument(
         "--node",
@@ -181,9 +176,8 @@ def run_verify(argv) -> int:
             file=sys.stderr,
         )
         return 2
-    context = ModelContext(
-        package_db=PackageDatabase(synthesize=not args.strict_packages),
-        platform=args.platform,
+    context = ModelContext.for_platform(
+        args.platform, synthesize=not args.strict_packages
     )
     tool = Rehearsal(
         context=context, options=_options_from_args(args), node_name=args.node
@@ -977,8 +971,9 @@ def build_lint_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--platform",
         default="ubuntu",
-        choices=PLATFORM_NAMES,
-        help="target platform for package modeling (default: ubuntu)",
+        choices=tuple(PLATFORMS),
+        help="target platform: its facts and package database "
+        "(default: ubuntu)",
     )
     parser.add_argument(
         "--node",
@@ -1012,9 +1007,8 @@ def run_lint(argv) -> int:
         protected=protected,
         disabled=tuple(args.disable),
     )
-    context = ModelContext(
-        package_db=PackageDatabase(synthesize=not args.strict_packages),
-        platform=args.platform,
+    context = ModelContext.for_platform(
+        args.platform, synthesize=not args.strict_packages
     )
 
     reports = []

@@ -49,7 +49,6 @@ class Frontend(NamedTuple):
 def build_frontend(
     manifest: "Manifest",
     context: ModelContext,
-    facts: Optional[dict] = None,
     node_name: str = "default",
     on_catalog: Optional[Callable[["Catalog"], None]] = None,
     on_model_error: Optional[
@@ -65,7 +64,9 @@ def build_frontend(
     handed to the hook and left out of ``programs`` instead of
     raising.
     """
-    catalog = Evaluator(facts=facts, node_name=node_name).evaluate(manifest)
+    catalog = Evaluator(facts=context.facts, node_name=node_name).evaluate(
+        manifest
+    )
     if on_catalog is not None:
         on_catalog(catalog)
     graph = catalog.build_graph()
@@ -131,20 +132,19 @@ class VerificationReport:
 class Rehearsal:
     """The configuration verification tool (paper title!).
 
-    Parameters mirror the paper's CLI: the platform selects the package
-    database behaviour; options control the §4 scaling techniques.
+    Parameters mirror the paper's CLI: the context
+    (:meth:`ModelContext.for_platform`) carries the platform's facts and
+    package database; options control the §4 scaling techniques.
     """
 
     def __init__(
         self,
         context: Optional[ModelContext] = None,
         options: Optional[DeterminismOptions] = None,
-        facts: Optional[dict] = None,
         node_name: str = "default",
     ):
         self.context = context or ModelContext()
         self.options = options or DeterminismOptions()
-        self.facts = facts
         self.node_name = node_name
 
     # -- pipeline stages ---------------------------------------------------
@@ -152,7 +152,7 @@ class Rehearsal:
     def frontend(self, source: str) -> Frontend:
         """Manifest source → (catalog, resource graph, FS programs)."""
         return build_frontend(
-            parse_manifest(source), self.context, self.facts, self.node_name
+            parse_manifest(source), self.context, self.node_name
         )
 
     def compile(self, source: str) -> Tuple[DiGraph, Dict[str, Expr]]:

@@ -30,12 +30,12 @@ from repro.puppet.values import (
     values_equal,
 )
 from repro.resources.base import METAPARAMETERS, Resource
+from repro.resources.compiler import PLATFORMS
 
+#: The facts of a node whose caller passes none: Ubuntu's OS facts
+#: plus node facts no platform changes.  Passed facts override these.
 DEFAULT_FACTS: Dict[str, Value] = {
-    "operatingsystem": "Ubuntu",
-    "osfamily": "Debian",
-    "operatingsystemrelease": "14.04",
-    "lsbdistcodename": "trusty",
+    **PLATFORMS["ubuntu"][0],
     "kernel": "Linux",
     "architecture": "amd64",
     "hostname": "node1",

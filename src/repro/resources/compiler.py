@@ -9,7 +9,7 @@ rest of the toolchain only ever sees FS programs (§3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ResourceModelError
 from repro.fs import Expr
@@ -20,17 +20,51 @@ from repro.resources.group import compile_group
 from repro.resources.host import compile_host
 from repro.resources.misc import compile_anchor, compile_exec, compile_notify
 from repro.resources.package import compile_package
-from repro.resources.package_db import PackageDatabase, default_database
+from repro.resources.package_db import (
+    CENTOS_PACKAGES,
+    PackageDatabase,
+    PackageInfo,
+    default_database,
+)
 from repro.resources.service import compile_service
 from repro.resources.ssh_authorized_key import compile_ssh_authorized_key
 from repro.resources.user import compile_user
 
 ModelFn = Callable[[Resource, "ModelContext"], Expr]
 
+#: The platforms ``--platform`` names: each one's OS facts, which the
+#: evaluator exposes as top-scope variables (``$osfamily``), and the
+#: package listings it lays over the curated (Ubuntu) table.
+PLATFORMS: Dict[str, Tuple[Dict[str, object], Dict[str, PackageInfo]]] = {
+    "ubuntu": (
+        {
+            "operatingsystem": "Ubuntu",
+            "osfamily": "Debian",
+            "operatingsystemrelease": "14.04",
+            "lsbdistcodename": "trusty",
+        },
+        {},
+    ),
+    "centos": (
+        {
+            "operatingsystem": "CentOS",
+            "osfamily": "RedHat",
+            "operatingsystemrelease": "7.2",
+            "lsbdistcodename": "core",
+        },
+        CENTOS_PACKAGES,
+    ),
+}
+
 
 @dataclass
 class ModelContext:
-    """Ambient information resource models may need.
+    """Ambient information the evaluator and resource models need.
+
+    ``facts`` are the platform facts the manifest sees and
+    ``package_db`` resolves package listings;
+    :meth:`for_platform` builds both from :data:`PLATFORMS`, and the
+    default is Ubuntu's.
 
     ``package_semantics`` selects when installed-state checks happen:
     ``"direct"`` (default) checks at each resource's execution time;
@@ -41,8 +75,25 @@ class ModelContext:
     """
 
     package_db: PackageDatabase = field(default_factory=default_database)
-    platform: str = "ubuntu"
     package_semantics: str = "direct"
+    facts: Dict[str, object] = field(
+        default_factory=lambda: dict(PLATFORMS["ubuntu"][0])
+    )
+
+    @classmethod
+    def for_platform(cls, name: str, synthesize: bool = True) -> "ModelContext":
+        """The context a platform name selects.  ``synthesize=False``
+        makes unknown packages an error (``--strict-packages``)."""
+        if name not in PLATFORMS:
+            raise ValueError(
+                f"unknown platform {name!r}; known platforms: "
+                + ", ".join(PLATFORMS)
+            )
+        facts, packages = PLATFORMS[name]
+        return cls(
+            package_db=PackageDatabase(extra=packages, synthesize=synthesize),
+            facts=dict(facts),
+        )
 
 
 _BUILTIN_MODELS: Dict[str, ModelFn] = {

@@ -324,6 +324,51 @@ _register(_pkg("openssh-server", [
 ]))
 
 
+#: The CentOS platform's listings, laid over the curated table:
+#: the same services under RPM names and Red Hat paths.
+CENTOS_PACKAGES: Dict[str, PackageInfo] = {
+    info.name: info
+    for info in (
+        _pkg("httpd", [
+            "/usr/sbin/httpd",
+            "/etc/httpd/conf/httpd.conf",
+            "/etc/httpd/conf.d/welcome.conf",
+            "/var/www/html/index.html",
+            "/usr/share/doc/httpd/copyright",
+        ]),
+        _pkg("ntp", [
+            "/usr/sbin/ntpd",
+            "/etc/ntp.conf",
+            "/usr/share/doc/ntp/copyright",
+        ]),
+        _pkg("bind", [
+            "/usr/sbin/named",
+            "/etc/named.conf",
+            "/var/named/named.ca",
+            "/usr/share/doc/bind/copyright",
+        ]),
+        _pkg("rsyslog", [
+            "/usr/sbin/rsyslogd",
+            "/etc/rsyslog.conf",
+            "/etc/rsyslog.d/listen.conf",
+            "/usr/share/doc/rsyslog/copyright",
+        ]),
+        _pkg("xinetd", [
+            "/usr/sbin/xinetd",
+            "/etc/xinetd.conf",
+            "/etc/xinetd.d/chargen-dgram",
+            "/usr/share/doc/xinetd/copyright",
+        ]),
+        _pkg("nginx", [
+            "/usr/sbin/nginx",
+            "/etc/nginx/nginx.conf",
+            "/etc/nginx/conf.d/default.conf",
+            "/usr/share/doc/nginx/copyright",
+        ]),
+    )
+}
+
+
 MARKER_ROOT = Path.of("/var/lib/pkg")
 """Installed-state markers live here: one file per installed package."""
 

@@ -24,6 +24,7 @@ from typing import Optional, Union
 
 from repro import __version__
 from repro.analysis.determinism import DeterminismOptions, verdict_options
+from repro.resources.compiler import PLATFORMS
 from repro.service.cachedir import default_cache_dir
 from repro.service.schema import SCHEMA_VERSION, ManifestResult
 
@@ -41,10 +42,10 @@ def cache_key(
     """SHA-256 over everything the verdict depends on.
 
     Any change to the manifest text, the analysis options, the target
-    platform, the node selection, the package-modeling knob, the
-    result-row schema version, or the tool version produces a new key,
-    so stale verdicts can never be served — they are simply never
-    found.  Keying on :data:`repro.service.schema.SCHEMA_VERSION`
+    platform (its name and its facts), the node selection, the
+    package-modeling knob, the result-row schema version, or the tool
+    version produces a new key, so stale verdicts can never be served
+    — they are simply never found.  Keying on :data:`repro.service.schema.SCHEMA_VERSION`
     rotates entries whose rows predate newly added fields (e.g. the
     v2 exploration statistics) instead of deserializing them
     incompletely.
@@ -53,7 +54,7 @@ def cache_key(
         {
             "source": source,
             "options": verdict_options(options or DeterminismOptions()),
-            "platform": platform,
+            "platform": [platform, PLATFORMS[platform][0]],
             "node": node_name,
             "version": version,
             "schema": SCHEMA_VERSION,

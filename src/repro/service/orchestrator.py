@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro import __version__
 from repro.analysis.determinism import DeterminismOptions
+from repro.resources.compiler import ModelContext
 from repro.service.cache import VerdictCache, cache_key, source_digest
 from repro.service.schema import (
     BatchReport,
@@ -89,13 +90,10 @@ def _verify_one(job: _Job) -> dict:
     """
     from repro.core.pipeline import Rehearsal
     from repro.errors import ReproError
-    from repro.resources.compiler import ModelContext
-    from repro.resources.package_db import PackageDatabase
 
     try:
-        context = ModelContext(
-            package_db=PackageDatabase(synthesize=job.synthesize_packages),
-            platform=job.platform,
+        context = ModelContext.for_platform(
+            job.platform, synthesize=job.synthesize_packages
         )
         tool = Rehearsal(
             context=context, options=job.options, node_name=job.node_name
@@ -157,7 +155,8 @@ class BatchVerifier:
 
     ``workers=1`` runs serially in-process (no pool overhead);
     ``workers=N`` fans out to N processes.  Pass ``cache=None`` to
-    disable caching entirely.
+    disable caching entirely.  An unknown ``platform`` raises
+    ``ValueError`` here rather than failing every manifest.
     """
 
     def __init__(
@@ -171,6 +170,7 @@ class BatchVerifier:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        ModelContext.for_platform(platform)  # rejects an unknown name
         self.options = options or DeterminismOptions()
         self.platform = platform
         self.node_name = node_name

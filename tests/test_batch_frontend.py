@@ -17,7 +17,6 @@ from repro.analysis.lint import LintOptions, lint_source
 from repro.core.pipeline import Rehearsal
 from repro.corpus import CASES, FIXED_VARIANTS, load_source
 from repro.resources.compiler import ModelContext
-from repro.resources.package_db import PackageDatabase
 from repro.service import BatchVerifier, ManifestResult
 from repro.service.schema import normalized_row
 
@@ -51,9 +50,8 @@ def separate_row(verifier: BatchVerifier, name: str, source: str) -> dict:
     """The row as ``Rehearsal.verify`` and ``lint_source`` give it when
     each builds its own frontend."""
     job = verifier._make_job(name, source)
-    context = ModelContext(
-        package_db=PackageDatabase(synthesize=verifier.synthesize_packages),
-        platform=verifier.platform,
+    context = ModelContext.for_platform(
+        verifier.platform, synthesize=verifier.synthesize_packages
     )
     tool = Rehearsal(
         context=context, options=verifier.options, node_name=verifier.node_name

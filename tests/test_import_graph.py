@@ -25,11 +25,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Modules the verify path must never import: the pool, the event loop
 #: and the graph library, then the modules a deterministic, idempotent
 #: verify never runs (race localization and witness decoding run on a
-#: divergence, invariants only on request).  ``--platform`` is checked
-#: against a literal tuple, so the platform profiles stay out too.  The
-#: batch row shares the pipeline's frontend with lint; the one-shot
-#: verify never lints, so neither the linter nor the concrete oracle it
-#: samples states from may load.
+#: divergence, invariants only on request).  The batch row shares the
+#: pipeline's frontend with lint; the one-shot verify never lints, so
+#: neither the linter nor the concrete oracle it samples states from
+#: may load.
 FORBIDDEN = (
     "networkx",
     "multiprocessing",
@@ -38,7 +37,6 @@ FORBIDDEN = (
     "repro.analysis.localize",
     "repro.smt.model",
     "repro.analysis.invariants",
-    "repro.core.platforms",
     "repro.analysis.lint",
     "repro.testing.oracle",
 )

@@ -13,6 +13,7 @@ from repro.core.report import (
     render_report,
 )
 from repro.fs import Path
+from repro.resources.compiler import ModelContext
 
 FIG_3A = """
 file {"/etc/apache2/sites-available/000-default.conf":
@@ -81,7 +82,7 @@ class TestVerify:
         assert result.holds
 
     def test_facts_propagate(self):
-        tool = Rehearsal(facts={"role": "web"})
+        tool = Rehearsal(context=ModelContext(facts={"role": "web"}))
         graph, _ = tool.compile(
             """
             if $role == 'web' { package{'nginx': } }
