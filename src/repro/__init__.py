@@ -22,11 +22,11 @@ Public API tour:
   (see docs/fuzzing.md).
 
 The package init is **lazy** (PEP 562): importing ``repro`` binds only
-``__version__``; every re-exported name resolves on first attribute
-access via the ``_LAZY_EXPORTS`` table below.  This keeps a one-shot
-``rehearsal verify`` from importing the batch service's process pool
-and the daemon's event loop, which it does not run (checked by
-``tests/test_import_graph.py``).
+``__version__`` and :func:`_lazy_hooks`; every re-exported name
+resolves on first attribute access via the ``_LAZY_EXPORTS`` table
+below.  This keeps a one-shot ``rehearsal verify`` from importing the
+batch service's process pool and the daemon's event loop, which it
+does not run (checked by ``tests/test_import_graph.py``).
 """
 
 from importlib import import_module
@@ -67,24 +67,35 @@ _LAZY_EXPORTS = {
 __all__ = [*sorted(_LAZY_EXPORTS), "__version__"]
 
 
-def __getattr__(name):
-    target = _LAZY_EXPORTS.get(name)
-    if target is not None:
-        return getattr(import_module(target), name)
-    # Fall back to submodule access, so `import repro; repro.corpus`
-    # works without an explicit import of the submodule.
-    qualified = f"{__name__}.{name}"
-    try:
-        return import_module(qualified)
-    except ModuleNotFoundError as exc:
-        # Only a *missing submodule* becomes AttributeError; a broken
-        # import inside a real submodule must surface unchanged.
-        if exc.name == qualified:
-            raise AttributeError(
-                f"module {__name__!r} has no attribute {name!r}"
-            ) from None
-        raise
+def _lazy_hooks(namespace, table):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the package whose
+    globals are ``namespace`` and whose ``table`` maps each re-exported
+    name to its defining module.  Only that module is imported, on
+    first access; any other name falls back to submodule access, so
+    ``import repro; repro.corpus`` works without importing the
+    submodule first."""
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        target = table.get(name)
+        if target is not None:
+            return getattr(import_module(target), name)
+        qualified = f"{package}.{name}"
+        try:
+            return import_module(qualified)
+        except ModuleNotFoundError as exc:
+            # Only a *missing submodule* becomes AttributeError; a
+            # broken import inside a real submodule surfaces unchanged.
+            if exc.name == qualified:
+                raise AttributeError(
+                    f"module {package!r} has no attribute {name!r}"
+                ) from None
+            raise
+
+    def __dir__():
+        return sorted(set(namespace) | set(table))
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_hooks(globals(), _LAZY_EXPORTS)

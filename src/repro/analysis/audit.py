@@ -2,28 +2,17 @@
 approach to modeling Puppet will enable several other tools, e.g. ...
 security auditing").
 
-Two kinds of checks over a compiled resource graph:
-
-* **write-scope audit** — which resources may write inside protected
-  subtrees (footprint-based, §4.3 machinery reused);
-* **protected-path invariants** — SAT-backed proofs that a manifest
-  never deletes or clobbers a given path on any successful run (the §5
-  invariant checker specialized to audits).
+The write-scope audit reports which resources may write inside
+protected subtrees (footprint-based, §4.3 machinery reused).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence
 
 from repro.analysis.commutativity import Footprint
-from repro.analysis.invariants import check_invariant
-from repro.digraph import DiGraph, topological_sort
-from repro.fs import FileSystem
-from repro.fs import syntax as fx
 from repro.fs.paths import Path
-from repro.logic.terms import Term, TermBank
-from repro.smt.state import SymbolicState
 
 NodeId = Hashable
 
@@ -88,26 +77,3 @@ def audit_writes(
 def _under_any(path: Path, roots: Sequence[Path]) -> bool:
     return any(r == path or r.is_ancestor_of(path) for r in roots)
 
-
-def prove_never_deleted(
-    graph: DiGraph,
-    programs: Dict[NodeId, fx.Expr],
-    path: Path,
-) -> Tuple[bool, Optional[FileSystem]]:
-    """SAT-backed proof: on every successful run, if ``path`` existed
-    initially it still exists at the end.  Returns (holds, witness).
-
-    Sound only on deterministic graphs (one linearization stands for
-    all, §5)."""
-    order = topological_sort(graph)
-    e = fx.seq(*[programs[n] for n in order])
-
-    def prop(bank: TermBank, final: SymbolicState) -> Term:
-        from repro.smt.values import initial_var_name, V_DNE
-
-        existed = bank.not_(bank.var(initial_var_name(path, V_DNE)))
-        still_there = bank.not_(final.value(path).is_dne(bank))
-        return bank.implies(existed, still_there)
-
-    result = check_invariant(e, prop, extra_paths=(path,))
-    return result.holds, result.witness_fs

@@ -97,10 +97,6 @@ class WriteProfile(Node):
         setfield(self, "value", value)
         setfield(self, "condition_paths", condition_paths)
 
-    @property
-    def is_definite(self) -> bool:
-        return self.value is not BOT and self.value is not TOP
-
 
 @dataclass
 class _AbsState:

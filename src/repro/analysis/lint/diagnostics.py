@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class Severity(IntEnum):
@@ -184,12 +184,6 @@ class LintReport:
         if sev is None or sev == Severity.NOTE:
             return 0
         return 1 if sev == Severity.WARNING else 2
-
-    def by_rule(self) -> Dict[str, List[Diagnostic]]:
-        out: Dict[str, List[Diagnostic]] = {}
-        for d in self.diagnostics:
-            out.setdefault(d.rule_id, []).append(d)
-        return out
 
     def definite_race_pairs(self) -> List[Tuple[str, str]]:
         return sorted({w.key for w in self.race_witnesses})

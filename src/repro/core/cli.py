@@ -665,27 +665,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         "disagreement into DIR (created if missing)",
     )
     parser.add_argument(
-        "--max-resources",
-        type=int,
-        default=6,
-        help="largest generated catalog (cap 7: the oracle enumerates "
-        "every topological order; default: 6)",
-    )
-    parser.add_argument(
-        "--edge-density",
-        type=float,
-        default=0.25,
-        help="probability of a dependency edge per resource pair "
-        "(default: 0.25)",
-    )
-    parser.add_argument(
-        "--path-contention",
-        type=float,
-        default=0.35,
-        help="probability a generated file reuses an already-targeted "
-        "path (default: 0.35)",
-    )
-    parser.add_argument(
         "--lint",
         action="store_true",
         help="also run the static analyzer on every case and "
@@ -734,7 +713,7 @@ def _budget_for_cases(cases: int) -> float:
 
 
 def run_fuzz(argv) -> int:
-    from repro.testing import FuzzSession, GeneratorConfig
+    from repro.testing import FuzzSession
     from repro.testing.regressions import format_reproducer
 
     args = build_fuzz_parser().parse_args(argv)
@@ -761,15 +740,6 @@ def run_fuzz(argv) -> int:
             if args.cases is not None
             else 60.0
         )
-    try:
-        config = GeneratorConfig(
-            max_resources=args.max_resources,
-            edge_density=args.edge_density,
-            path_contention=args.path_contention,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     out_dir = None
     if args.out is not None:
         out_dir = OsPath(args.out)
@@ -782,14 +752,6 @@ def run_fuzz(argv) -> int:
             )
             return 2
 
-    knob_flags = ""
-    if args.max_resources != 6:
-        knob_flags += f" --max-resources {args.max_resources}"
-    if args.edge_density != 0.25:
-        knob_flags += f" --edge-density {args.edge_density:g}"
-    if args.path_contention != 0.35:
-        knob_flags += f" --path-contention {args.path_contention:g}"
-
     progress = (
         (lambda message: None)
         if args.quiet
@@ -800,7 +762,6 @@ def run_fuzz(argv) -> int:
         budget_seconds=budget,
         cases=args.cases,
         shrink=args.shrink,
-        generator_config=config,
         options=(
             DeterminismOptions(incremental=True)
             if args.incremental
@@ -874,14 +835,13 @@ def run_fuzz(argv) -> int:
         )
         for finding in summary.findings:
             kinds = ",".join(finding.outcome.kinds())
-            # Cases are a pure function of (seed, case_id, generator
-            # config), so the hint must echo non-default knobs;
+            # Cases are a pure function of (seed, case_id), and
             # --cases sizes its own wall clock, no --budget needed.
             print(
                 f"  - case {finding.case.case_id} "
                 f"({finding.case.bug}): {kinds}; reproduce with "
                 f"--seed {finding.case.master_seed} "
-                f"--cases {finding.case.case_id + 1}{knob_flags}",
+                f"--cases {finding.case.case_id + 1}",
                 file=sys.stderr,
             )
         return 1

@@ -92,12 +92,3 @@ def _parse(text: str) -> Path:
         raise ValueError(f"FS paths must be absolute, got {text!r}")
     parts = tuple(comp for comp in text.split("/") if comp)
     return Path(parts)
-
-
-def closure_under_parents(paths: set[Path]) -> set[Path]:
-    """The set of paths together with every ancestor (excluding the root)."""
-    out: set[Path] = set()
-    for p in paths:
-        out.add(p)
-        out.update(a for a in p.ancestors() if not a.is_root)
-    return out

@@ -18,7 +18,7 @@ behind a content-addressed verdict cache.
 # repro.service.incremental through this package and must not pay for
 # the orchestrator's process pool (multiprocessing, concurrent.futures).
 
-from importlib import import_module
+from repro import _lazy_hooks
 
 #: name -> defining module.  Only the named module is imported on
 #: first access, which keeps the one-shot CLI's import cost down
@@ -41,22 +41,4 @@ _LAZY_EXPORTS = {
 }
 
 __all__ = sorted(_LAZY_EXPORTS)
-
-
-def __getattr__(name):
-    target = _LAZY_EXPORTS.get(name)
-    if target is not None:
-        return getattr(import_module(target), name)
-    qualified = f"{__name__}.{name}"
-    try:
-        return import_module(qualified)
-    except ModuleNotFoundError as exc:
-        if exc.name == qualified:
-            raise AttributeError(
-                f"module {__name__!r} has no attribute {name!r}"
-            ) from None
-        raise
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_hooks(globals(), _LAZY_EXPORTS)

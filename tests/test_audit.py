@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.analysis.audit import audit_writes, prove_never_deleted
+from repro.analysis.audit import audit_writes
 from repro.analysis.commutativity import footprint
-from repro.digraph import DiGraph
-from repro.fs import Path, creat, mkdir, rm, seq, ite, file_, ID
+from repro.fs import Path
 from repro.resources import Resource, ResourceCompiler
 
 
@@ -79,49 +78,3 @@ class TestWriteAudit:
         report = audit_writes(footprints(programs), [Path.of("/boot")])
         assert set(report.by_resource()) == {"bad1", "bad2"}
 
-
-class TestNeverDeleted:
-    def _graph(self, programs, edges=()):
-        g = DiGraph()
-        g.add_nodes_from(programs)
-        g.add_edges_from(edges)
-        return g
-
-    def test_holds_for_untouched_path(self):
-        programs = {"a": creat("/other", "x")}
-        g = self._graph(programs)
-        holds, _ = prove_never_deleted(g, programs, Path.of("/precious"))
-        assert holds
-
-    def test_violated_by_rm(self):
-        p = Path.of("/precious")
-        programs = {"a": ite(file_(p), rm(p), ID)}
-        g = self._graph(programs)
-        holds, witness = prove_never_deleted(g, programs, p)
-        assert not holds
-        assert witness is not None
-        assert witness.is_file(p)
-
-    def test_holds_for_overwrite(self):
-        """Replacing content keeps the path existing."""
-        p = Path.of("/precious")
-        programs = {"a": ite(file_(p), seq(rm(p), creat(p, "new")), ID)}
-        g = self._graph(programs)
-        holds, _ = prove_never_deleted(g, programs, p)
-        assert holds
-
-    def test_fig3d_deletes_source(self):
-        from repro.resources import Resource, ResourceCompiler
-
-        compiler = ResourceCompiler()
-        programs = {
-            "copy": compiler.compile(
-                Resource("file", "/dst", {"source": "/src"})
-            ),
-            "del": compiler.compile(
-                Resource("file", "/src", {"ensure": "absent"})
-            ),
-        }
-        g = self._graph(programs, edges=[("copy", "del")])
-        holds, _ = prove_never_deleted(g, programs, Path.of("/src"))
-        assert not holds

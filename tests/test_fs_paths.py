@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fs.paths import Path, closure_under_parents
+from repro.fs.paths import Path
 
 
 class TestParsing:
@@ -86,15 +86,3 @@ class TestRelations:
     def test_hashable(self):
         assert len({Path.of("/a"), Path.of("/a"), Path.of("/b")}) == 2
 
-
-class TestClosure:
-    def test_closure_under_parents(self):
-        got = closure_under_parents({Path.of("/a/b/c")})
-        assert got == {
-            Path.of("/a/b/c"),
-            Path.of("/a/b"),
-            Path.of("/a"),
-        }
-
-    def test_closure_excludes_root(self):
-        assert Path.root() not in closure_under_parents({Path.of("/a")})

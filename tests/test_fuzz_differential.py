@@ -251,27 +251,41 @@ class TestFuzzCli:
         )
         assert code == 3
 
-    def test_reproduction_hint_echoes_nondefault_knobs(
+    def test_reproduction_hint_is_seed_and_case_count(
         self, capsys, no_incremental_store
     ):
+        """Cases are a pure function of (seed, case_id): the hint
+        names both and nothing else."""
         with mock.patch.object(
             SymbolicState, "fingerprint", lambda self: 0
         ):
             code = cli.main(
-                ["fuzz", "--seed", "42", "--cases", "6", "--quiet",
-                 "--edge-density", "0.5"]
+                ["fuzz", "--seed", "42", "--cases", "6", "--quiet"]
             )
         assert code == 1
-        err = capsys.readouterr().err
-        assert "--edge-density 0.5" in err, (
-            "cases are a function of the generator config; the "
-            "reproduce hint must echo non-default knobs"
-        )
+        hints = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "reproduce with" in line
+        ]
+        assert hints
+        for line in hints:
+            case_id = int(line.split("case ")[1].split(" ")[0])
+            assert line.endswith(
+                f"reproduce with --seed 42 --cases {case_id + 1}"
+            ), line
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-resources", "--edge-density", "--path-contention"]
+    )
+    def test_generator_settings_are_not_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fuzz", flag, "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_bad_invocations_exit_two(self, tmp_path):
         assert cli.main(["fuzz", "--budget", "0"]) == 2
         assert cli.main(["fuzz", "--cases", "0"]) == 2
-        assert cli.main(["fuzz", "--max-resources", "9"]) == 2
         blocked = tmp_path / "blocked"
         blocked.write_text("a file, not a directory")
         assert (

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic import CNF, TermBank, dag_size, tseitin
-from repro.sat import brute_force_solve, solve_cnf
+from repro.logic.cnf import CNF, tseitin
+from repro.logic.terms import TermBank, dag_size
+from repro.sat.brute import brute_force_solve
+from repro.sat.solver import solve_cnf
 
 
 @pytest.fixture()

@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat import (
-    Solver,
-    brute_force_solve,
-    check_assignment,
-    count_models,
-    solve_cnf,
-)
 from repro.sat import solver as solver_module
-from repro.sat.solver import UNDEF
+from repro.sat.brute import brute_force_solve, check_assignment, count_models
+from repro.sat.solver import UNDEF, Solver, solve_cnf
 
 
 class TestBasics:

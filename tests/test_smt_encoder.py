@@ -36,18 +36,17 @@ from repro.fs import (
     seq,
 )
 from repro.fs.filesystem import DIR, FileContent
-from repro.logic import TermBank
-from repro.smt import (
-    PathDomains,
-    apply_expr,
+from repro.logic.terms import TermBank
+from repro.smt.encoder import apply_expr
+from repro.smt.model import decode_filesystem
+from repro.smt.query import check_sat
+from repro.smt.state import (
     assignment_for_fs,
+    initial_constraints,
     initial_state,
     states_differ,
-    initial_constraints,
-    check_sat,
-    decode_filesystem,
 )
-from repro.smt.values import value_of_content
+from repro.smt.values import PathDomains, value_of_content
 
 
 def _symbolic_agrees_with_concrete(expr, fs):

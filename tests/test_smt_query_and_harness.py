@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.logic import TermBank
+from repro.logic.terms import TermBank
 from repro.smt.query import Query, check_sat
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
