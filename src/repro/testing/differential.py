@@ -64,7 +64,6 @@ from repro.testing.generate import (
     GENERATOR_VERSION,
     CaseGenerator,
     GeneratedCase,
-    GeneratorConfig,
 )
 from repro.testing.oracle import run_oracle
 
@@ -489,7 +488,6 @@ class FuzzSession:
         budget_seconds: float = 60.0,
         cases: Optional[int] = None,
         shrink: bool = True,
-        generator_config: Optional[GeneratorConfig] = None,
         options: Optional[DeterminismOptions] = None,
         progress=None,
         lint: bool = False,
@@ -502,7 +500,7 @@ class FuzzSession:
             else max(1, int(budget_seconds * CASES_PER_SECOND))
         )
         self.shrink = shrink
-        self.generator = CaseGenerator(seed, generator_config)
+        self.generator = CaseGenerator(seed)
         self.options = options
         self.progress = progress or (lambda message: None)
         self.lint = lint
