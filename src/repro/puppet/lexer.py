@@ -1,25 +1,62 @@
-"""Hand-written lexer for the Puppet DSL subset.
+"""Lexer for the Puppet DSL subset: one compiled pattern.
+
+Each match of ``_TOKEN`` skips trivia (blanks, ``#`` line comments,
+``/* */`` block comments) and then takes one token, whose named group
+gives its class.  The alternatives are tried in a fixed order: an
+unclosed ``/*`` (an error), the operators (two-character ones before
+one-character ones), a ``$`` variable, a single- or double-quoted
+string, a number, a word, the end of input, and last any other
+character (an error).  A token's line and column come from counting
+newlines between the previous token's start and its own
+(``str.count``/``str.rfind``), never from a walk over each character.
 
 Notable Puppet-isms handled here:
 
-* barewords may be namespaced (``nginx::config``); a leading capital on
-  any segment makes a type reference (``File``, ``Nginx::Config``);
+* barewords may be namespaced (``nginx::config``); a capital first
+  letter makes a type reference (``File``, ``Nginx::Config``);
+* a word cannot start with ``::``: ``::apache`` is ``COLON COLON
+  NAME`` and ``::Foo`` is ``COLON COLON TYPEREF``, so top-scope
+  ``::name`` references are not supported;
 * variables: ``$x``, ``$::top``, ``$nginx::port``;
 * single-quoted strings are literal; double-quoted strings keep their
   raw payload — interpolation is resolved during evaluation, when
   variable scopes exist;
 * ``<|`` / ``|>`` collector brackets vs comparison operators;
 * ``#`` line comments and ``/* */`` block comments.
+
+The character classes follow the ``str`` tests exactly, not the regex
+shorthands: a number's digits are ``str.isdigit``, which is ``\\d``
+plus 128 superscript, circled and other non-decimal digits (spelled
+out in ``_DIGIT``); a word's characters are ``str.isalnum`` or ``_``,
+which is ``\\w``.  A word starts with ``str.isalpha`` or ``_``; the
+pattern lets any non-decimal ``\\w`` start one, and :func:`tokenize`
+rejects numeric characters such as ``½`` there.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import PuppetSyntaxError
 from repro.puppet.tokens import KEYWORDS, Token, TokenKind
 
-_SIMPLE = {
+_OPERATORS = {
+    "=>": TokenKind.FARROW,
+    "+>": TokenKind.PARROW,
+    "->": TokenKind.ARROW_RIGHT,
+    "~>": TokenKind.NOTIFY_RIGHT,
+    "<-": TokenKind.ARROW_LEFT,
+    "<~": TokenKind.NOTIFY_LEFT,
+    "<|": TokenKind.COLLECT_OPEN,
+    "|>": TokenKind.COLLECT_CLOSE,
+    "==": TokenKind.EQ,
+    "!=": TokenKind.NEQ,
+    "=~": TokenKind.MATCH,
+    "!~": TokenKind.NOMATCH,
+    "<=": TokenKind.LTEQ,
+    ">=": TokenKind.GTEQ,
+    "@@": TokenKind.ATAT,
     "{": TokenKind.LBRACE,
     "}": TokenKind.RBRACE,
     "[": TokenKind.LBRACK,
@@ -33,243 +70,107 @@ _SIMPLE = {
     ".": TokenKind.DOT,
     "*": TokenKind.STAR,
     "%": TokenKind.PERCENT,
+    "<": TokenKind.LT,
+    ">": TokenKind.GT,
+    "=": TokenKind.ASSIGN,
+    "+": TokenKind.PLUS,
+    "-": TokenKind.MINUS,
+    "/": TokenKind.SLASH,
+    "!": TokenKind.BANG,
+    "@": TokenKind.AT,
 }
 
+# str.isdigit is \d plus these non-decimal digits (superscripts, circled
+# digits, ...); ``tests/test_lexer_differential.py --all`` checks the
+# table against the running Python's Unicode data.
+_NON_DECIMAL_DIGITS = (
+    (0xB2, 0xB3), (0xB9, 0xB9), (0x1369, 0x1371), (0x19DA, 0x19DA),
+    (0x2070, 0x2070), (0x2074, 0x2079), (0x2080, 0x2089), (0x2460, 0x2468),
+    (0x2474, 0x247C), (0x2488, 0x2490), (0x24EA, 0x24EA), (0x24F5, 0x24FD),
+    (0x24FF, 0x24FF), (0x2776, 0x277E), (0x2780, 0x2788), (0x278A, 0x2792),
+    (0x10A40, 0x10A43), (0x10E60, 0x10E68), (0x11052, 0x1105A),
+    (0x1F100, 0x1F10A),
+)
+_DIGIT = "[\\d%s]" % "".join(
+    f"{chr(lo)}-{chr(hi)}" for lo, hi in _NON_DECIMAL_DIGITS
+)
 
-class Lexer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*|/\*[\s\S]*?\*/)*"
+    r"(?:(?P<unclosed>/\*)"
+    r"|(?P<op>=>|\+>|->|~>|<-|<~|<\||\|>|==|!=|=~|!~|<=|>=|@@"
+    r"|[{}\[\]():;,?.*%<>=+\-/!@])"
+    r"|(?P<var>\$(?:\w|::)*)"
+    r"|(?P<sq>'(?:[^'\\]|\\[\s\S])*')"
+    r'|(?P<dq>"(?:[^"\\]|\\[\s\S])*")'
+    rf"|(?P<num>{_DIGIT}+(?:\.{_DIGIT}+)?)"
+    r"|(?P<word>[^\W\d](?:[\w-]|::)*)"
+    r"|(?P<end>\Z)"
+    r"|(?P<other>[\s\S]))"
+)
 
-    def tokenize(self) -> List[Token]:
-        tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                tokens.append(Token(TokenKind.EOF, "", self.line, self.column))
-                return tokens
-            tokens.append(self._next_token())
+_DQ_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-    # -- internals ----------------------------------------------------------
 
-    def _error(self, message: str) -> PuppetSyntaxError:
-        return PuppetSyntaxError(message, self.line, self.column)
+def _dq_escape(match: re.Match) -> str:
+    return _DQ_ESCAPES[match[1]]
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
 
-    def _advance(self, count: int = 1) -> str:
-        out = self.source[self.pos : self.pos + count]
-        for ch in out:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return out
+def _error(message: str, source: str, offset: int) -> PuppetSyntaxError:
+    line = source.count("\n", 0, offset) + 1
+    column = offset - source.rfind("\n", 0, offset)
+    return PuppetSyntaxError(message, line, column)
 
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            else:
-                return
 
-    def _token(self, kind: TokenKind, text: str, line: int, col: int) -> Token:
-        return Token(kind, text, line, col)
-
-    def _next_token(self) -> Token:
-        line, col = self.line, self.column
-        ch = self._peek()
-        two = ch + self._peek(1)
-
-        if two in ("=>",):
-            self._advance(2)
-            return self._token(TokenKind.FARROW, two, line, col)
-        if two == "+>":
-            self._advance(2)
-            return self._token(TokenKind.PARROW, two, line, col)
-        if two == "->":
-            self._advance(2)
-            return self._token(TokenKind.ARROW_RIGHT, two, line, col)
-        if two == "~>":
-            self._advance(2)
-            return self._token(TokenKind.NOTIFY_RIGHT, two, line, col)
-        if two == "<-":
-            self._advance(2)
-            return self._token(TokenKind.ARROW_LEFT, two, line, col)
-        if two == "<~":
-            self._advance(2)
-            return self._token(TokenKind.NOTIFY_LEFT, two, line, col)
-        if two == "<|":
-            self._advance(2)
-            return self._token(TokenKind.COLLECT_OPEN, two, line, col)
-        if two == "|>":
-            self._advance(2)
-            return self._token(TokenKind.COLLECT_CLOSE, two, line, col)
-        if two == "==":
-            self._advance(2)
-            return self._token(TokenKind.EQ, two, line, col)
-        if two == "!=":
-            self._advance(2)
-            return self._token(TokenKind.NEQ, two, line, col)
-        if two == "=~":
-            self._advance(2)
-            return self._token(TokenKind.MATCH, two, line, col)
-        if two == "!~":
-            self._advance(2)
-            return self._token(TokenKind.NOMATCH, two, line, col)
-        if two == "<=":
-            self._advance(2)
-            return self._token(TokenKind.LTEQ, two, line, col)
-        if two == ">=":
-            self._advance(2)
-            return self._token(TokenKind.GTEQ, two, line, col)
-        if two == "@@":
-            self._advance(2)
-            return self._token(TokenKind.ATAT, two, line, col)
-
-        if ch in _SIMPLE:
-            self._advance()
-            return self._token(_SIMPLE[ch], ch, line, col)
-        if ch == "<":
-            self._advance()
-            return self._token(TokenKind.LT, ch, line, col)
-        if ch == ">":
-            self._advance()
-            return self._token(TokenKind.GT, ch, line, col)
-        if ch == "=":
-            self._advance()
-            return self._token(TokenKind.ASSIGN, ch, line, col)
-        if ch == "+":
-            self._advance()
-            return self._token(TokenKind.PLUS, ch, line, col)
-        if ch == "-":
-            self._advance()
-            return self._token(TokenKind.MINUS, ch, line, col)
-        if ch == "/":
-            self._advance()
-            return self._token(TokenKind.SLASH, ch, line, col)
-        if ch == "!":
-            self._advance()
-            return self._token(TokenKind.BANG, ch, line, col)
-        if ch == "@":
-            self._advance()
-            return self._token(TokenKind.AT, ch, line, col)
-        if ch == "$":
-            return self._lex_variable()
-        if ch == "'":
-            return self._lex_single_quoted()
-        if ch == '"':
-            return self._lex_double_quoted()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch.isalpha() or ch == "_" or (ch == ":" and self._peek(1) == ":"):
-            return self._lex_word()
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_variable(self) -> Token:
-        line, col = self.line, self.column
-        self._advance()  # $
-        name = []
-        if self._peek() == ":" and self._peek(1) == ":":
-            name.append(self._advance(2))
-        while True:
-            ch = self._peek()
-            if ch.isalnum() or ch == "_":
-                name.append(self._advance())
-            elif ch == ":" and self._peek(1) == ":":
-                name.append(self._advance(2))
-            else:
-                break
-        if not name:
-            raise self._error("empty variable name after '$'")
-        return self._token(TokenKind.VARIABLE, "".join(name), line, col)
-
-    def _lex_single_quoted(self) -> Token:
-        line, col = self.line, self.column
-        self._advance()
-        out = []
-        while True:
-            if self.pos >= len(self.source):
-                raise self._error("unterminated string literal")
-            ch = self._advance()
-            if ch == "\\" and self._peek() in ("'", "\\"):
-                out.append(self._advance())
-            elif ch == "'":
-                break
-            else:
-                out.append(ch)
-        return self._token(TokenKind.STRING, "".join(out), line, col)
-
-    def _lex_double_quoted(self) -> Token:
-        line, col = self.line, self.column
-        self._advance()
-        out = []
-        while True:
-            if self.pos >= len(self.source):
-                raise self._error("unterminated string literal")
-            ch = self._advance()
-            if ch == "\\":
-                nxt = self._advance()
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "$": "\\$"}
-                out.append(mapping.get(nxt, "\\" + nxt))
-            elif ch == '"':
-                break
-            else:
-                out.append(ch)
-        return self._token(TokenKind.DQSTRING, "".join(out), line, col)
-
-    def _lex_number(self) -> Token:
-        line, col = self.line, self.column
-        out = []
-        while self._peek().isdigit():
-            out.append(self._advance())
-        if self._peek() == "." and self._peek(1).isdigit():
-            out.append(self._advance())
-            while self._peek().isdigit():
-                out.append(self._advance())
-        return self._token(TokenKind.NUMBER, "".join(out), line, col)
-
-    def _lex_word(self) -> Token:
-        line, col = self.line, self.column
-        out = []
-        while True:
-            ch = self._peek()
-            if ch and (ch.isalnum() or ch in "_-"):
-                out.append(self._advance())
-            elif ch == ":" and self._peek(1) == ":":
-                out.append(self._advance(2))
-            else:
-                break
-        text = "".join(out)
-        kind = KEYWORDS.get(text)
-        if kind is not None:
-            return self._token(kind, text, line, col)
-        # A reference like File or Nginx::Config: first char of the
-        # first non-empty segment is uppercase.
-        segments = [s for s in text.split("::") if s]
-        if segments and segments[0][0].isupper():
-            return self._token(TokenKind.TYPEREF, text, line, col)
-        return self._token(TokenKind.NAME, text, line, col)
+def _unexpected(source: str, offset: int) -> PuppetSyntaxError:
+    return _error(f"unexpected character {source[offset]!r}", source, offset)
 
 
 def tokenize(source: str) -> List[Token]:
-    return Lexer(source).tokenize()
+    """The tokens of ``source``, ending with EOF."""
+    tokens: List[Token] = []
+    line, line_start, last, column = 1, 0, 0, 1
+    for match in _TOKEN.finditer(source):
+        group = match.lastgroup
+        start, end = match.span(group)
+        newlines = source.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", last, start) + 1
+        last = start
+        column = start - line_start + 1
+        text = source[start:end]
+        if group == "op":
+            kind = _OPERATORS[text]
+        elif group == "word":
+            kind = KEYWORDS.get(text)
+            if kind is None:
+                head = text[0]  # a numeric such as ½ starts no word
+                if not (head.isalpha() or head == "_"):
+                    raise _unexpected(source, start)
+                kind = TokenKind.TYPEREF if head.isupper() else TokenKind.NAME
+        elif group == "sq":
+            kind, text = TokenKind.STRING, text[1:-1]
+            if "\\" in text:
+                text = re.sub(r"\\(['\\])", r"\1", text)
+        elif group == "dq":
+            kind, text = TokenKind.DQSTRING, text[1:-1]
+            if "\\" in text:
+                text = re.sub(r'\\([nt"\\])', _dq_escape, text)
+        elif group == "var":
+            if end - start == 1:
+                raise _error("empty variable name after '$'", source, end)
+            kind, text = TokenKind.VARIABLE, text[1:]
+        elif group == "num":
+            kind = TokenKind.NUMBER
+        elif group == "end":
+            break
+        elif group == "unclosed":
+            raise _error("unterminated block comment", source, len(source))
+        elif text in "'\"":  # a quote the string groups could not close
+            raise _error("unterminated string literal", source, len(source))
+        else:
+            raise _unexpected(source, start)
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token(TokenKind.EOF, "", line, column))
+    return tokens

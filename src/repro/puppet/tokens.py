@@ -14,7 +14,6 @@ class TokenKind(Enum):
     STRING = auto()  # single-quoted (no interpolation)
     DQSTRING = auto()  # double-quoted (interpolation payload kept raw)
     NUMBER = auto()
-    REGEX = auto()  # /pattern/ in case/selector matches
 
     # Keywords
     DEFINE = auto()
@@ -32,7 +31,6 @@ class TokenKind(Enum):
     UNDEF = auto()
     AND = auto()
     OR = auto()
-    NOT = auto()
     IN = auto()
     INCLUDE = auto()
     REQUIRE_KW = auto()

@@ -98,6 +98,16 @@ class TestLexer:
         assert (toks[0].line, toks[0].column) == (1, 1)
         assert (toks[1].line, toks[1].column) == (2, 3)
 
+    def test_leading_double_colon_is_two_colons(self):
+        # A word cannot start with "::", so top-scope references such
+        # as ::apache are not supported: the colons lex on their own.
+        assert kinds("::apache") == [T.COLON, T.COLON, T.NAME]
+        assert kinds("::Foo") == [T.COLON, T.COLON, T.TYPEREF]
+        with pytest.raises(
+            PuppetSyntaxError, match="expected class name to include"
+        ):
+            parse_manifest("include ::apache")
+
 
 class TestParserResources:
     def test_basic_resource(self):
