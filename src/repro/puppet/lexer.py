@@ -26,8 +26,8 @@ Notable Puppet-isms handled here:
 
 The character classes follow the ``str`` tests exactly, not the regex
 shorthands: a number's digits are ``str.isdigit``, which is ``\\d``
-plus 128 superscript, circled and other non-decimal digits (spelled
-out in ``_DIGIT``); a word's characters are ``str.isalnum`` or ``_``,
+plus 128 superscript, circled and other non-decimal digits (listed
+in ``_NON_DECIMAL_DIGITS``); a word's characters are ``str.isalnum`` or ``_``,
 which is ``\\w``.  A word starts with ``str.isalpha`` or ``_``; the
 pattern lets any non-decimal ``\\w`` start one, and :func:`tokenize`
 rejects numeric characters such as ``½`` there.
